@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import sys
 from pathlib import Path
@@ -50,6 +51,20 @@ def _default_seed() -> int:
             f"GME_SEED must be an integer, got {raw!r}") from None
 
 
+def _seed(explicit: int | None) -> int:
+    seed = _default_seed() if explicit is None else explicit
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _tolerance(tol: float) -> float:
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(
+            f"--tol must be a positive finite number, got {tol:g}")
+    return tol
+
+
 def _convention(name: str | None) -> EdgeConvention:
     return EdgeConvention(name) if name else EdgeConvention.CONCURRENCE
 
@@ -73,7 +88,7 @@ def _as_pure(state, tol: float, notices: list[str]) -> PureState:
     """Pass through pure states; project rank-1 mixed inputs."""
     if isinstance(state, PureState):
         return state
-    vals, vecs = hermitian_eig(state)
+    vals, vecs = hermitian_eig(state, tol=tol)
     if vals[1] > tol:
         raise ValidationError(
             f"input is mixed with second eigenvalue {vals[1]:.3e} > "
@@ -86,7 +101,7 @@ def _as_pure(state, tol: float, notices: list[str]) -> PureState:
 
 
 def _cmd_analyze(ns) -> int:
-    tol = ns.tol
+    tol = _tolerance(ns.tol)
     notices: list[str] = []
     state = parse_state_file(ns.file, tol=tol)
     psi = _as_pure(state, tol, notices)
@@ -138,8 +153,8 @@ def _cmd_witness(ns) -> int:
 def _cmd_convex_roof(ns) -> int:
     state = parse_state_file(ns.file, tol=LOAD_TOL)
     rho = state.projector() if isinstance(state, PureState) else state
-    seed = _default_seed() if ns.seed is None else ns.seed
-    sizes = (ns.ensemble_size,) if ns.ensemble_size else None
+    seed = _seed(ns.seed)
+    sizes = None if ns.ensemble_size is None else (ns.ensemble_size,)
     config = ConvexRoofConfig(ensemble_sizes=sizes, restarts=ns.restarts,
                               seed=seed)
     result = convex_roof_upper_bound(rho, EdgeConvention.CONCURRENCE, config)
@@ -168,7 +183,7 @@ def _cmd_convex_roof(ns) -> int:
 
 
 def _cmd_classify(ns) -> int:
-    tol = ns.tol
+    tol = _tolerance(ns.tol)
     notices: list[str] = []
     state = parse_state_file(ns.file, tol=tol)
     psi = _as_pure(state, tol, notices)
@@ -188,7 +203,7 @@ def _cmd_classify(ns) -> int:
 
 def _cmd_random(ns) -> int:
     dims = _parse_dims(ns.dims)
-    seed = _default_seed() if ns.seed is None else ns.seed
+    seed = _seed(ns.seed)
     psi = haar_random_pure(dims, seed)
     text = render_state_document(psi, {"generator": "haar", "seed": seed})
     if ns.out:
@@ -202,7 +217,9 @@ def _cmd_check_inequalities(ns) -> int:
     dims = _parse_dims(ns.dims)
     if len(dims) < 3:
         raise ValidationError("--dims needs at least 3 parties")
-    seed = _default_seed() if ns.seed is None else ns.seed
+    if ns.trials < 1:
+        raise ValidationError(f"--trials must be >= 1, got {ns.trials}")
+    seed = _seed(ns.seed)
     worst = float("inf")
     failures = 0
     for k in range(ns.trials):

@@ -3,13 +3,16 @@ Wootters concurrence, and checkers for the polygamy inequalities.
 
 For a pure state and a bipartition S | S^c the concurrence is
 ``sqrt(2 * (1 - Tr(rho_S^2)))``; the radicand is clamped at zero since
-purity can exceed 1 by rounding at the 1e-15 level.
+purity can exceed 1 by rounding at the 1e-15 level.  Cut tables call
+``concurrence_pure`` on the canonical cuts cached in ``_cut_plan``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -37,13 +40,27 @@ _SIGMA_YY = np.array([[0, 0, 0, -1],
 
 def _subset_purity(psi: PureState, keep0: list[int]) -> float:
     """Tr(rho_S^2) evaluated on the smaller side of the bipartition."""
-    n = psi.nparties
-    drop0 = [i for i in range(n) if i not in keep0]
-    dk = int(np.prod([psi.dims[i] for i in keep0]))
-    dd = psi.dim // dk
-    side = keep0 if dk <= dd else drop0
+    dk = math.prod(psi.dims[i] for i in keep0)
+    side = (keep0 if dk <= psi.dim // dk
+            else [i for i in range(psi.nparties) if i not in keep0])
     g = _pure_marginal(psi.amplitudes, psi.dims, side)
     return float(np.sum(np.abs(g) ** 2))
+
+
+# cuts: canonical cuts by size, then lexicographically; index: either
+# side as a sorted party tuple -> position in ``cuts``; levels:
+# triangle-edge positions per level, filled in by ``triangles``.
+_CutPlan = namedtuple("_CutPlan", "cuts index levels")
+
+
+@lru_cache(maxsize=32)  # plans kept, one per number of parties
+def _cut_plan(nparties: int) -> _CutPlan:
+    cuts = tuple(dict.fromkeys(
+        Cut.of(comb, nparties) for size in range(1, nparties // 2 + 1)
+        for comb in combinations(range(1, nparties + 1), size)))
+    index = {side: k for k, cut in enumerate(cuts)
+             for side in (cut.parties, cut.complement)}
+    return _CutPlan(cuts, index, {})
 
 
 def concurrence_pure(psi: PureState, cut) -> float:
@@ -88,14 +105,6 @@ class CutConcurrenceTable:
         return len(self.entries)
 
 
-def _canonical_cuts(nparties: int, max_subset_size: int):
-    for size in range(1, max_subset_size + 1):
-        for comb in combinations(range(1, nparties + 1), size):
-            cut = Cut.of(comb, nparties)
-            if cut.parties == comb:
-                yield cut
-
-
 def all_cut_concurrences(psi: PureState,
                          max_subset_size: int) -> CutConcurrenceTable:
     """Concurrence of every canonical cut with |S| <= max_subset_size."""
@@ -103,8 +112,8 @@ def all_cut_concurrences(psi: PureState,
     if not 1 <= max_subset_size <= n // 2:
         raise ValidationError(
             f"max_subset_size {max_subset_size} out of range 1..{n // 2}")
-    entries = {cut: concurrence_pure(psi, cut)
-               for cut in _canonical_cuts(n, max_subset_size)}
+    entries = {cut: concurrence_pure(psi, cut) for cut in _cut_plan(n).cuts
+               if len(cut.parties) <= max_subset_size}
     return CutConcurrenceTable(psi.dims, max_subset_size, entries)
 
 

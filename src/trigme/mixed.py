@@ -166,6 +166,17 @@ class ConvexRoofConfig:
     max_iterations: int = 500
     seed: int = 0
 
+    def __post_init__(self):
+        sizes = self.ensemble_sizes
+        if sizes is not None and (not sizes or min(sizes) < 1):
+            raise ValidationError(
+                f"ensemble sizes must be >= 1, got {sizes!r}")
+        for name, low in (("restarts", 0), ("max_iterations", 1),
+                          ("seed", 0)):
+            if getattr(self, name) < low:
+                raise ValidationError(f"{name} must be >= {low}, got "
+                                      f"{getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class ConvexRoofResult:

@@ -126,8 +126,12 @@ def parse_state_file(path, tol: float = 1e-9) -> PureState | DensityMatrix:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{p}: {exc.strerror or exc}") from exc
+
+    def refuse(token: str):
+        raise ParseError(f"{p}: non-finite number {token} is not allowed")
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}: "

@@ -104,6 +104,16 @@ class Cut:
         return f"{left}|{right}"
 
 
+def _check_finite(values: np.ndarray, what: str) -> None:
+    """Refuse NaN and infinities, which every later check would pass."""
+    bad = np.argwhere(~np.isfinite(values))
+    if bad.size:
+        idx = tuple(int(i) for i in bad[0])
+        where = idx[0] if len(idx) == 1 else idx
+        raise ValidationError(
+            f"{what} {where} is not finite: {complex(values[idx])!r}")
+
+
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     out = tuple(int(d) for d in dims)
     if not out:
@@ -142,6 +152,8 @@ class PureState:
             raise ValidationError(
                 f"amplitude length {amps.size} != product of dims {d}")
         norm = float(np.linalg.norm(amps))
+        if not math.isfinite(norm):  # NaN or inf somewhere in the vector
+            _check_finite(amps, "amplitude")
         if abs(norm - 1.0) > self.tol:
             raise ValidationError(
                 f"state norm {norm!r} deviates from 1 by more than {self.tol}")
@@ -188,6 +200,7 @@ class DensityMatrix:
         if mat.shape != (d, d):
             raise ValidationError(
                 f"matrix shape {mat.shape} != ({d}, {d}) from dims {dims}")
+        _check_finite(mat, "matrix entry")
         herm = float(np.max(np.abs(mat - mat.conj().T)))
         if herm > self.tol:
             raise ValidationError(
@@ -234,6 +247,7 @@ class LocalChannel:
             if k.shape != (d, d):
                 raise ValidationError(
                     f"Kraus operator shape {k.shape} != ({d}, {d})")
+            _check_finite(k, "Kraus operator entry")
         total = sum(k.conj().T @ k for k in ops)
         err = float(np.max(np.abs(total - np.eye(d))))
         if err > KRAUS_TOL:
@@ -278,10 +292,9 @@ def _keep_axes(state_dims: tuple[int, ...], keep) -> list[int]:
 def _pure_marginal(amps: np.ndarray, dims: tuple[int, ...],
                    keep0: list[int]) -> np.ndarray:
     """Reduced density matrix of a pure state over 0-based axes keep0."""
-    n = len(dims)
-    drop0 = [i for i in range(n) if i not in keep0]
-    dk = int(np.prod([dims[i] for i in keep0])) if keep0 else 1
-    m = np.transpose(amps.reshape(dims), keep0 + drop0).reshape(dk, -1)
+    drop0 = [i for i in range(len(dims)) if i not in keep0]
+    dk = math.prod(dims[i] for i in keep0)
+    m = amps.reshape(dims).transpose(keep0 + drop0).reshape(dk, -1)
     return m @ m.conj().T
 
 
@@ -434,6 +447,9 @@ def ghz_state(nparties: int, dim: int = 2) -> PureState:
     """(|0...0> + |1...1> + ... + |d-1 ... d-1>) / sqrt(d)."""
     if nparties < 2:
         raise ValidationError("GHZ state needs at least 2 parties")
+    if dim < 2:
+        raise ValidationError(
+            f"GHZ state needs local dimension >= 2, got dimension {dim}")
     dims = (dim,) * nparties
     amps = np.zeros(dim ** nparties, dtype=complex)
     step = (dim ** nparties - 1) // (dim - 1)

@@ -17,6 +17,10 @@ The level-l measure geometrically averages the areas of all tripartitions
 measure averages the levels ``1 .. floor((N-2)/2)``.  Values are never
 clamped from above: areas can exceed 1 for subset-vs-rest cuts of high
 local dimension, and such triangles are inventoried instead.
+
+All measures share one engine: a vectorised pass per level over edge
+positions kept in the cached cut plan, with scalar powers, logs and
+``math.fsum``, so values match the scalar formulas bit for bit.
 """
 
 from __future__ import annotations
@@ -26,9 +30,11 @@ from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations
 
+import numpy as np
+
 from .errors import InternalInvariantError, ValidationError
 from .states import PureState
-from .concurrence import CutConcurrenceTable, all_cut_concurrences
+from .concurrence import CutConcurrenceTable, _cut_plan, all_cut_concurrences
 
 ZERO_AREA_TOL = 1e-8
 ZERO_EDGE_TOL = 1e-6
@@ -166,75 +172,80 @@ def heron_area_normalized(edges: TriangleEdges,
     return max(rad, 0.0) ** conv.exponent
 
 
-def _triangle(table: CutConcurrenceTable, vx: tuple[int, ...],
-              vy: tuple[int, ...], vz: tuple[int, ...], level: int,
-              conv: EdgeConvention) -> Triangle:
-    raw = (table.value(vx), table.value(vy), table.value(vz))
-    edges = TriangleEdges(conv.edge(raw[0]), conv.edge(raw[1]),
-                          conv.edge(raw[2]), (vx, vy, vz))
-    # A vanishing edge forces zero area analytically; rounding noise on
-    # a near-zero concurrence otherwise leaks into a spurious tiny area.
-    if min(raw) <= ZERO_EDGE_TOL:
-        area = 0.0
-    else:
-        area = heron_area_normalized(edges, conv)
-    return Triangle(level, edges, area)
-
-
-def _level_triangles(psi: PureState, table: CutConcurrenceTable,
-                     level: int, conv: EdgeConvention) -> list[Triangle]:
-    """All ordered (i, S) triangles {i} | S | rest with |S| = level."""
-    n = psi.nparties
-    parties = range(1, n + 1)
-    out = []
+def _tripartitions(nparties: int, level: int):
+    """Vertex labels ({i}, S, rest) of a level; just {1}|{2}|{3} at N=3."""
+    if nparties == 3:
+        yield (1,), (2,), (3,)
+        return
+    parties = range(1, nparties + 1)
     for i in parties:
         others = [p for p in parties if p != i]
         for s in combinations(others, level):
-            rest = tuple(p for p in others if p not in s)
-            out.append(_triangle(table, (i,), s, rest, level, conv))
-    return out
+            yield (i,), s, tuple(p for p in others if p not in s)
 
 
-def _geometric_mean(areas: list[float]) -> float:
-    """Geometric mean with an exact zero when any area is degenerate.
+def _level_areas(table: CutConcurrenceTable, level: int,
+                 conv: EdgeConvention) -> tuple[np.ndarray, list[float]]:
+    """Raw edge concurrences (3, T) and areas of a level; breaches raise."""
+    n, plan = len(table.dims), _cut_plan(len(table.dims))
+    if level not in plan.levels:  # (3, T) table positions of the edges
+        pos = np.array([[plan.index[v] for v in labels]
+                        for labels in _tripartitions(n, level)]).T
+        pos.setflags(write=False)  # shared by every caller of the plan
+        plan.levels[level] = pos
+    values = np.fromiter(table.entries.values(), float, len(table))
+    raw = values[plan.levels[level]]
+    edges = raw if conv is EdgeConvention.CONCURRENCE else raw * raw
+    a, b, c = edges
+    q = 0.5 * (a + b + c)
+    rad = (16.0 / 3.0) * q * (q - a) * (q - b) * (q - c)
+    # A vanishing edge forces zero area analytically; rounding noise on
+    # a near-zero concurrence otherwise leaks into a spurious tiny area.
+    zero = raw.min(axis=0) <= ZERO_EDGE_TOL
+    bad = ((np.maximum(np.maximum(a, b), c) > q + TRIANGLE_SLACK_TOL)
+           | (~zero & (rad < -TRIANGLE_SLACK_TOL)))
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise InternalInvariantError(
+            f"polygamy violated: edges {tuple(edges[:, k].tolist())}, Heron "
+            f"radicand {rad[k].item()!r}, for vertices "
+            f"{list(_tripartitions(n, level))[k]}")
+    e = conv.exponent
+    return raw, [r ** e for r in
+                 np.where(zero, 0.0, np.maximum(rad, 0.0)).tolist()]
+
+
+def _geometric_mean(values: list[float], floor: float) -> float:
+    """Geometric mean with an exact zero when any value is <= ``floor``.
 
     Log-space accumulation avoids underflow of the raw product; any
-    area at or below ``ZERO_AREA_TOL`` makes the whole mean zero, which
+    area at or below ``ZERO_AREA_TOL`` makes a level mean zero, which
     keeps the zero-characterization exact on biseparable states.
     """
-    if min(areas) <= ZERO_AREA_TOL:
+    if min(values) <= floor:
         return 0.0
-    return math.exp(math.fsum(math.log(a) for a in areas) / len(areas))
+    return math.exp(math.fsum(map(math.log, values)) / len(values))
 
 
-def _zero_inventory(triangles: list[Triangle],
-                    table: CutConcurrenceTable) -> list[ZeroAreaTriangle]:
-    """Deduplicated zero-area triangles with vanishing edges attributed."""
-    seen = set()
-    out = []
-    for tri in triangles:
-        if tri.area > ZERO_AREA_TOL:
-            continue
-        key = (tri.level, frozenset(tri.vertex_labels))
-        if key in seen:
-            continue
-        seen.add(key)
-        zero_edges = tuple(v for v in tri.vertex_labels
-                           if table.value(v) <= ZERO_EDGE_TOL)
-        out.append(ZeroAreaTriangle(tri.level, tri.vertex_labels,
-                                    tri.area, zero_edges))
-    return out
-
-
-def _max_level(nparties: int) -> int:
-    return max(1, (nparties - 2) // 2)
-
-
-def _table_for_levels(psi: PureState, levels: list[int]) -> CutConcurrenceTable:
+def _measure(psi: PureState, conv: EdgeConvention,
+             inventory: list | None = None) -> tuple[dict[int, float], float]:
+    """Level values and total, stopping at a zero level unless
+    ``inventory`` is given: then every level's (level, raw edges, areas)
+    is appended.  At N = 3 both are the single triangle's area."""
     n = psi.nparties
-    need = max(min(l + 1, n - l - 1) for l in levels)
-    need = max(need, max(levels), 1)
-    return all_cut_concurrences(psi, min(max(need, 1), n // 2))
+    table = all_cut_concurrences(psi, n // 2)
+    values = {}
+    for level in range(1, max(1, (n - 2) // 2) + 1):
+        raw, areas = _level_areas(table, level, conv)
+        values[level] = _geometric_mean(areas, ZERO_AREA_TOL)
+        if inventory is not None:
+            inventory.append((level, raw, areas))
+        elif values[level] == 0.0:
+            return values, 0.0
+    if n == 3:
+        values[1] = areas[0] if areas[0] > ZERO_AREA_TOL else 0.0
+        return values, values[1]
+    return values, _geometric_mean(list(values.values()), 0.0)
 
 
 def f3(psi: PureState, conv: EdgeConvention = EdgeConvention.CONCURRENCE
@@ -246,9 +257,7 @@ def f3(psi: PureState, conv: EdgeConvention = EdgeConvention.CONCURRENCE
     if psi.nparties != 3:
         raise ValidationError(
             f"f3 needs exactly 3 parties, got {psi.nparties}")
-    table = all_cut_concurrences(psi, 1)
-    tri = _triangle(table, (1,), (2,), (3,), 1, conv)
-    return 0.0 if tri.area <= ZERO_AREA_TOL else tri.area
+    return gme_value(psi, conv)
 
 
 def f_level(psi: PureState, level: int,
@@ -264,9 +273,8 @@ def f_level(psi: PureState, level: int,
     if not 1 <= level <= n - 3:
         raise ValidationError(
             f"level {level} out of range 1..{n - 3} for {n} parties")
-    table = _table_for_levels(psi, [level])
-    areas = [t.area for t in _level_triangles(psi, table, level, conv)]
-    return _geometric_mean(areas)
+    table = all_cut_concurrences(psi, min(level + 1, n // 2))
+    return _geometric_mean(_level_areas(table, level, conv)[1], ZERO_AREA_TOL)
 
 
 def f_total(psi: PureState,
@@ -279,53 +287,32 @@ def f_total(psi: PureState,
     n = psi.nparties
     if n < 3:
         raise ValidationError(f"f_total needs at least 3 parties, got {n}")
-
-    if n == 3:
-        table = all_cut_concurrences(psi, 1)
-        triangles = [_triangle(table, (1,), (2,), (3,), 1, conv)]
-        level_values = {1: _geometric_mean([triangles[0].area])}
-    else:
-        levels = list(range(1, _max_level(n) + 1))
-        table = _table_for_levels(psi, levels)
-        triangles = []
-        level_values = {}
-        for l in levels:
-            tris = _level_triangles(psi, table, l, conv)
-            triangles.extend(tris)
-            level_values[l] = _geometric_mean([t.area for t in tris])
-
-    if min(level_values.values()) <= 0.0:
-        total = 0.0
-    else:
-        total = math.exp(
-            math.fsum(math.log(v) for v in level_values.values())
-            / len(level_values))
-
-    zero = _zero_inventory(triangles, table)
+    levels = []
+    level_values, total = _measure(psi, conv, levels)
+    triangles, zero = [], {}
+    for level, raw, areas in levels:
+        for labels, edge_raw, area in zip(_tripartitions(n, level),
+                                          raw.T.tolist(), areas):
+            edges = TriangleEdges(*map(conv.edge, edge_raw), labels)
+            triangles.append(Triangle(level, edges, area))
+            if area <= ZERO_AREA_TOL:  # first of each unordered triangle
+                zero.setdefault((level, frozenset(labels)), ZeroAreaTriangle(
+                    level, labels, area,
+                    tuple(v for v, x in zip(labels, edge_raw)
+                          if x <= ZERO_EDGE_TOL)))
     above = tuple(t for t in triangles if t.area > 1.0 + UNIT_AREA_TOL)
-    return GmeReport(conv, psi.dims, level_values, total,
-                     tuple(triangles), tuple(zero), above)
+    return GmeReport(conv, psi.dims, level_values, total, tuple(triangles),
+                     tuple(zero.values()), above)
 
 
 def gme_value(psi: PureState,
               conv: EdgeConvention = EdgeConvention.CONCURRENCE) -> float:
     """Total GME value without materializing the report.
 
-    Same number as ``f_total(psi, conv).value``; used in optimization
-    and property-campaign hot paths.
+    Same number as ``f_total(psi, conv).value``, stopping at the first
+    zero level; used in optimization and property-campaign hot paths.
     """
-    n = psi.nparties
-    if n < 3:
-        raise ValidationError(f"gme_value needs at least 3 parties, got {n}")
-    if n == 3:
-        return f3(psi, conv)
-    levels = list(range(1, _max_level(n) + 1))
-    table = _table_for_levels(psi, levels)
-    vals = []
-    for l in levels:
-        areas = [t.area for t in _level_triangles(psi, table, l, conv)]
-        v = _geometric_mean(areas)
-        if v <= 0.0:
-            return 0.0
-        vals.append(v)
-    return math.exp(math.fsum(math.log(v) for v in vals) / len(vals))
+    if psi.nparties < 3:
+        raise ValidationError(
+            f"gme_value needs at least 3 parties, got {psi.nparties}")
+    return _measure(psi, conv)[1]

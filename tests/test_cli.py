@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -238,6 +239,54 @@ def test_malformed_json_exits_one(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 1
     assert "invalid JSON" in err
+
+
+# ------------------------------------------------------ argument checks
+
+def test_tol_reaches_rank_one_projection(capsys, tmp_path):
+    # rank-1 GHZ_3 projector with a 1e-6 Hermiticity defect: it loads at
+    # --tol 1e-3, so projecting it must use the same tolerance
+    ghz = np.zeros(8)
+    ghz[0] = ghz[7] = 1.0 / np.sqrt(2.0)
+    rho = np.outer(ghz, ghz)
+    rho[0, 7] += 1e-6
+    path = tmp_path / "rank1.json"
+    path.write_text(json.dumps({
+        "dims": [2, 2, 2], "kind": "mixed",
+        "data": [[[float(x), 0.0] for x in row] for row in rho]}))
+    code, out, err = run(capsys, "analyze", str(path), "--tol", "1e-3",
+                         "--json")
+    assert code == 0, err
+    assert json.loads(out)["f_total"] == pytest.approx(1.0, abs=1e-5)
+    code, out, err = run(capsys, "classify", str(path), "--tol", "1e-3")
+    assert code == 0, err
+    assert "factors: {1,2,3}" in out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["convex-roof", "appendix_e.json", "--restarts", "-1"],
+     "restarts must be >= 0, got -1"),
+    (["convex-roof", "appendix_e.json", "--ensemble-size", "0"],
+     r"ensemble sizes must be >= 1, got \(0,\)"),
+    (["convex-roof", "appendix_e.json", "--seed", "-2"],
+     "seed must be >= 0, got -2"),
+    (["check-inequalities", "--dims", "2,2,2", "--trials", "0"],
+     "--trials must be >= 1, got 0"),
+    (["random", "--dims", "2,2", "--seed", "-1"],
+     "seed must be >= 0, got -1"),
+    (["analyze", "ghz4.json", "--tol", "nan"],
+     "--tol must be a positive finite number, got nan"),
+    (["classify", "ghz4.json", "--tol", "0"],
+     "--tol must be a positive finite number, got 0"),
+])
+def test_out_of_range_arguments_exit_one_naming_the_value(
+        capsys, fixtures_dir, argv, message):
+    argv = [str(fixtures_dir / a) if a.endswith(".json") else a
+            for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert re.search(message, err), err
 
 
 # ----------------------------------------------------------------- selftest

@@ -155,3 +155,21 @@ def test_package_data_fixtures_match_repo_fixtures(fixtures_dir):
 def test_w4_fixture_matches_builder(fixtures_dir):
     psi = parse_state_file(fixtures_dir / "w4.json")
     np.testing.assert_array_equal(psi.amplitudes, w_state(4).amplitudes)
+
+
+# ------------------------------------------------------ non-finite input
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_json_numbers_are_rejected(tmp_path, token):
+    path = tmp_path / "state.json"
+    path.write_text('{"dims": [2], "kind": "pure", "data": '
+                    f'[[{token}, 0.0], [0.0, 0.0]]}}')
+    with pytest.raises(ParseError, match=f"non-finite number {token}"):
+        parse_state_file(path)
+
+
+def test_non_finite_values_in_a_parsed_document_are_rejected():
+    doc = {"dims": [2], "kind": "pure",
+           "data": [[float("nan"), 0.0], [1.0, 0.0]]}
+    with pytest.raises(ValidationError, match="not finite"):
+        parse_state_document(doc)

@@ -317,3 +317,37 @@ def test_complementary_marginals_share_purity():
             comp = tuple(range(size + 1, n + 1))
             assert purity(partial_trace(psi, keep)) == pytest.approx(
                 purity(partial_trace(psi, comp)), abs=1e-9)
+
+
+# ------------------------------------------------------ non-finite input
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    amps = np.full(8, 1.0 / math.sqrt(8.0), dtype=complex)
+    amps[3] = bad
+    with pytest.raises(ValidationError, match=r"amplitude 3 is not finite"):
+        PureState((2, 2, 2), amps)
+
+
+def test_all_nan_state_is_refused_instead_of_scored_zero():
+    with pytest.raises(ValidationError, match="not finite"):
+        PureState((2, 2, 2), [math.nan] * 8)
+
+
+def test_density_matrix_rejects_non_finite_entries():
+    mat = np.eye(2, dtype=complex) / 2.0
+    mat[0, 1] = mat[1, 0] = math.nan
+    with pytest.raises(ValidationError, match=r"entry \(0, 1\) is not finite"):
+        DensityMatrix((2,), mat)
+
+
+def test_local_channel_rejects_non_finite_kraus_operators():
+    k = np.eye(2, dtype=complex)
+    k[1, 0] = math.inf
+    with pytest.raises(ValidationError, match="not finite"):
+        LocalChannel(1, (k,))
+
+
+def test_ghz_state_rejects_local_dimension_one():
+    with pytest.raises(ValidationError, match="dimension 1"):
+        ghz_state(3, dim=1)
