@@ -1,10 +1,10 @@
 """Regenerate the shipped state-document fixtures.
 
-Writes identical copies into src/trigme/fixtures/ (package data) and
-fixtures/ (repo root, used by the command-line examples).  The
-appendix_c and appendix_e_alt payloads are frozen transcriptions of
-externally published matrices; regeneration keeps their checksums
-stable.
+Writes them into src/trigme/fixtures/ (package data), the only fixture
+tree; ``fixture_documents`` returns the rendered text without writing
+it.  The appendix_c and appendix_e_alt payloads are frozen
+transcriptions of externally published matrices; regeneration keeps
+their checksums stable.
 """
 
 import sys
@@ -15,9 +15,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
-from trigme.states import ghz_state, w_state, partial_trace, PureState  # noqa: E402
+from trigme.states import (DensityMatrix, PureState, ghz_state,  # noqa: E402
+                           partial_trace, w_state)
 from trigme.stateio import render_state_document  # noqa: E402
-from trigme.states import DensityMatrix  # noqa: E402
 
 # 4x4 blocks of the 16x16 appendix_c matrix; the grid index is the joint
 # level of parties (1, 2), the inner index that of parties (3, 4).  Lower
@@ -105,11 +105,8 @@ def appendix_e_matrix() -> np.ndarray:
     return partial_trace(w4, (1, 2, 3)).entries.copy()
 
 
-def main() -> None:
-    targets = [ROOT / "fixtures", ROOT / "src" / "trigme" / "fixtures"]
-    for t in targets:
-        t.mkdir(parents=True, exist_ok=True)
-
+def fixture_documents() -> dict[str, str]:
+    """File name -> rendered state document of every shipped fixture."""
     docs = {
         "ghz4.json": (PureState((2, 2, 2, 2), ghz_state(4).amplitudes),
                       {"label": "ghz4"}),
@@ -125,11 +122,16 @@ def main() -> None:
                           tol=1e-3),
             {"label": "appendix_e_alt", "scaled_by": 0.25}),
     }
-    for name, (state, meta) in docs.items():
-        text = render_state_document(state, meta)
-        for t in targets:
-            (t / name).write_text(text, encoding="utf-8")
-            print(f"wrote {t / name}")
+    return {name: render_state_document(state, meta)
+            for name, (state, meta) in docs.items()}
+
+
+def main() -> None:
+    target = ROOT / "src" / "trigme" / "fixtures"
+    target.mkdir(parents=True, exist_ok=True)
+    for name, text in fixture_documents().items():
+        (target / name).write_text(text, encoding="utf-8")
+        print(f"wrote {target / name}")
 
 
 if __name__ == "__main__":

@@ -111,7 +111,7 @@ def _cmd_analyze(ns) -> int:
         input_digest=_digest(ns.file),
         dims=psi.dims,
         tolerance=tol,
-        seed=_default_seed(),
+        seed=_seed(None),
         gme=f_total(psi, conv),
         cut_values=all_cut_concurrences(psi, psi.nparties // 2).entries,
         factorization=finest_factorization(psi, tol=edge_tol),

@@ -61,6 +61,24 @@ class Purification:
         return len(self.eigenvalues)
 
 
+def _kept_spectrum(rho: DensityMatrix, rank_tol: float) -> tuple:
+    """Eigenvalues above ``rank_tol`` (descending) and their eigenvectors."""
+    vals, vecs = hermitian_eig(rho, tol=rho.tol)
+    r = int(np.sum(vals > rank_tol))
+    if r == 0:
+        raise ValidationError(
+            f"all eigenvalues below rank tolerance {rank_tol!r}")
+    return vals[:r], vecs[:, :r]
+
+
+def _purify(rho: DensityMatrix, vals: np.ndarray,
+            vecs: np.ndarray) -> Purification:
+    amps = (vecs * np.sqrt(vals)).reshape(-1)
+    state = PureState(rho.dims + (len(vals),), amps / np.linalg.norm(amps),
+                      tol=max(rho.tol, 1e-9))
+    return Purification(state, rho.nparties + 1, tuple(vals.tolist()))
+
+
 def minimal_purification(rho: DensityMatrix,
                          rank_tol: float = RANK_TOL) -> Purification:
     """Spectral purification keeping eigenvalues above ``rank_tol``.
@@ -69,17 +87,7 @@ def minimal_purification(rho: DensityMatrix,
     ``sqrt(l_k)`` on ``|v_k>|k>`` with the reference party appended as
     party N+1.
     """
-    vals, vecs = hermitian_eig(rho, tol=rho.tol)
-    kept = vals > rank_tol
-    r = int(np.sum(kept))
-    if r == 0:
-        raise ValidationError(
-            f"all eigenvalues below rank tolerance {rank_tol!r}")
-    amps = (vecs[:, :r] * np.sqrt(vals[:r])).reshape(-1)
-    amps = amps / np.linalg.norm(amps)
-    state = PureState(rho.dims + (r,), amps, tol=max(rho.tol, 1e-9))
-    return Purification(state, rho.nparties + 1, tuple(float(v)
-                                                       for v in vals[:r]))
+    return _purify(rho, *_kept_spectrum(rho, rank_tol))
 
 
 @dataclass(frozen=True)
@@ -107,21 +115,18 @@ def witness(rho: DensityMatrix,
     if rho.nparties < 3:
         raise ValidationError(
             f"witness needs at least 3 parties, got {rho.nparties}")
-    pur = minimal_purification(rho, rank_tol)
-    if pur.rank == 1:
-        vals, vecs = hermitian_eig(rho, tol=rho.tol)
+    vals, vecs = _kept_spectrum(rho, rank_tol)
+    bypass = len(vals) == 1
+    if bypass:
         psi = PureState(rho.dims, vecs[:, 0] / np.linalg.norm(vecs[:, 0]),
                         tol=max(rho.tol, 1e-9))
-        report = f_total(psi, conv)
-        bypass = True
     else:
-        report = f_total(pur.state, conv)
-        bypass = False
-    value = report.value
-    detected = value > ZERO_AREA_TOL
+        psi = _purify(rho, vals, vecs).state
+    report = f_total(psi, conv)
+    detected = report.value > ZERO_AREA_TOL
     verdict = "GME detected" if detected else "no GME detected by witness"
-    return WitnessReport(value, conv, pur.rank, bypass, detected, verdict,
-                         report)
+    return WitnessReport(report.value, conv, len(vals), bypass, detected,
+                         verdict, report)
 
 
 @dataclass(frozen=True)
@@ -259,14 +264,9 @@ def convex_roof_upper_bound(
             f"convex roof needs at least 3 parties, got {rho.nparties}")
     config = config or ConvexRoofConfig()
 
-    vals, vecs = hermitian_eig(rho, tol=rho.tol)
-    kept = vals > rank_tol
-    r = int(np.sum(kept))
-    if r == 0:
-        raise ValidationError(
-            f"all eigenvalues below rank tolerance {rank_tol!r}")
-    lam = np.clip(vals[:r], 0.0, None)
-    sub = vecs[:, :r] * np.sqrt(lam)  # column k = sqrt(l_k)|v_k>
+    vals, vecs = _kept_spectrum(rho, rank_tol)
+    r = len(vals)
+    sub = vecs * np.sqrt(vals)  # column k = sqrt(l_k)|v_k>
     state_tol = max(rho.tol, 1e-9)
 
     sizes = config.ensemble_sizes or tuple(range(r, r + 3))

@@ -4,10 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-sys.path.insert(0, str(Path(__file__).parent))
+from trigme.stateio import fixture_path
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-FIXTURES = REPO_ROOT / "fixtures"
+sys.path.insert(0, str(Path(__file__).parent))
 
 ACCEPTANCE_LINES: list[str] = []
 
@@ -25,7 +24,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(scope="session")
 def fixtures_dir() -> Path:
-    return FIXTURES
+    """Directory of the fixtures shipped as package data."""
+    return fixture_path("ghz4.json").parent
 
 
 @pytest.fixture(scope="session")
@@ -33,7 +33,7 @@ def appendix_c_pure():
     """Dominant eigenvector of the appendix_c fixture as a PureState."""
     from trigme import PureState, hermitian_eig, parse_state_file
 
-    rho = parse_state_file(FIXTURES / "appendix_c.json", tol=1e-3)
+    rho = parse_state_file(fixture_path("appendix_c.json"), tol=1e-3)
     vals, vecs = hermitian_eig(rho)
     assert vals[1] <= 1e-3
     return PureState(rho.dims, vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
@@ -43,4 +43,4 @@ def appendix_c_pure():
 def appendix_e_rho():
     from trigme import parse_state_file
 
-    return parse_state_file(FIXTURES / "appendix_e.json")
+    return parse_state_file(fixture_path("appendix_e.json"))

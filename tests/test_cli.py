@@ -183,6 +183,15 @@ def test_gme_seed_environment_sets_default(capsys, monkeypatch):
     assert overridden == explicit
 
 
+def test_analyze_refuses_a_negative_gme_seed(capsys, monkeypatch,
+                                             fixtures_dir):
+    monkeypatch.setenv("GME_SEED", "-5")
+    code, out, err = run(capsys, "analyze", str(fixtures_dir / "ghz4.json"))
+    assert code == 1
+    assert out == ""
+    assert "seed must be >= 0, got -5" in err
+
+
 def test_random_rejects_bad_dims(capsys):
     code, _, err = run(capsys, "random", "--dims", "2,1")
     assert code == 1

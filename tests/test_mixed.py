@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+import trigme.mixed
 from trigme import (ConvexRoofConfig, DensityMatrix, EdgeConvention,
                     LocalChannel, PureState, ValidationError,
                     apply_local_channel_branches, convex_roof_upper_bound,
                     decomposition_mixture_error, f_total, ghz_state,
-                    haar_random_pure, minimal_purification, partial_trace,
-                    witness)
+                    haar_random_pure, hermitian_eig, minimal_purification,
+                    partial_trace, witness)
 from trigme.states import haar_random_unitary
 from oracles import GHZ_MIX_ROOF_REFERENCE, ghz_000_mixture
 
@@ -120,6 +121,18 @@ def test_witness_rank_one_bypass():
     assert rep.value == pytest.approx(1.0)
 
 
+def test_rank_one_witness_decomposes_rho_once(monkeypatch):
+    calls = []
+
+    def counting_eig(*args, **kwargs):
+        calls.append(args)
+        return hermitian_eig(*args, **kwargs)
+
+    monkeypatch.setattr(trigme.mixed, "hermitian_eig", counting_eig)
+    assert witness(ghz_state(3).projector(), CONC).pure_state_bypass
+    assert len(calls) == 1
+
+
 def test_witness_needs_three_parties():
     rho = DensityMatrix((2, 2), np.eye(4) / 4)
     with pytest.raises(ValidationError):
@@ -196,6 +209,13 @@ def test_roof_finds_zero_for_mixture_of_biseparable_states():
     result = convex_roof_upper_bound(rho, CONC, ConvexRoofConfig(seed=0))
     assert result.spectral_value > 0.1
     assert result.value <= 1e-6
+
+
+@pytest.mark.parametrize("measure", [witness, convex_roof_upper_bound])
+def test_rank_tolerance_above_every_eigenvalue_is_refused(measure):
+    rho = DensityMatrix((2, 2, 2), np.eye(8) / 8)
+    with pytest.raises(ValidationError, match="below rank tolerance 0.5"):
+        measure(rho, rank_tol=0.5)
 
 
 def test_roof_rejects_undersized_ensembles():

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -144,12 +147,15 @@ def test_appendix_e_alt_fixture_structure(fixtures_dir):
         1.0, abs=1e-3)
 
 
-def test_package_data_fixtures_match_repo_fixtures(fixtures_dir):
-    for name in ("ghz4.json", "w4.json", "appendix_c.json",
-                 "appendix_e.json", "appendix_e_alt.json"):
-        repo = (fixtures_dir / name).read_bytes()
-        packaged = fixture_path(name).read_bytes()
-        assert repo == packaged, name
+def test_make_fixtures_reproduces_every_shipped_fixture(fixtures_dir):
+    script = Path(__file__).parent.parent / "scripts" / "make_fixtures.py"
+    spec = importlib.util.spec_from_file_location("make_fixtures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    docs = module.fixture_documents()
+    assert sorted(docs) == sorted(p.name for p in fixtures_dir.glob("*.json"))
+    for name, text in docs.items():
+        assert text.encode("utf-8") == fixture_path(name).read_bytes(), name
 
 
 def test_w4_fixture_matches_builder(fixtures_dir):
