@@ -92,8 +92,11 @@ class CutConcurrenceTable:
 
     def value(self, subset) -> float:
         """Look up a cut given either side of the bipartition."""
-        cut = (subset if isinstance(subset, Cut)
-               else Cut.of(subset, len(self.dims)))
+        n = len(self.dims)
+        cut = subset if isinstance(subset, Cut) else Cut.of(subset, n)
+        if cut.nparties != n:
+            raise ValidationError(
+                f"cut is over {cut.nparties} parties, table has {n}")
         try:
             return self.entries[cut]
         except KeyError:

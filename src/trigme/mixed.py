@@ -63,6 +63,9 @@ class Purification:
 
 def _kept_spectrum(rho: DensityMatrix, rank_tol: float) -> tuple:
     """Eigenvalues above ``rank_tol`` (descending) and their eigenvectors."""
+    if not rank_tol >= 0.0:
+        raise ValidationError(
+            f"rank tolerance must be >= 0, got {rank_tol!r}")
     vals, vecs = hermitian_eig(rho, tol=rho.tol)
     r = int(np.sum(vals > rank_tol))
     if r == 0:

@@ -28,10 +28,6 @@ __all__ = ["run_selftest", "CHECKS"]
 BOTH = (EdgeConvention.CONCURRENCE, EdgeConvention.SQUARED)
 
 
-def _scaled(n: int, quick: bool) -> int:
-    return max(2, n // 10) if quick else n
-
-
 def permute_parties(psi: PureState, order: list[int]) -> PureState:
     """Relabel parties so that new party k is old party order[k-1]."""
     perm0 = [p - 1 for p in order]
@@ -51,7 +47,7 @@ def random_biseparable(nparties: int, seed: int) -> PureState:
     return permute_parties(left, inverse)
 
 
-def check_golden_pure(quick: bool) -> str:
+def check_golden_pure() -> str:
     ghz4, w4 = ghz_state(4), w_state(4)
     expect = [
         (gme_value(ghz4, BOTH[0]), 1.0),
@@ -68,7 +64,7 @@ def check_golden_pure(quick: bool) -> str:
     return f"7 values, max deviation {worst:.1e}"
 
 
-def check_golden_fixtures(quick: bool) -> str:
+def check_golden_fixtures() -> str:
     rho_c = parse_state_file(fixture_path("appendix_c.json"), tol=1e-3)
     vals, vecs = hermitian_eig(rho_c)
     if vals[1] > 1e-3:
@@ -101,8 +97,8 @@ def check_golden_fixtures(quick: bool) -> str:
     return f"witness {w.value:.4f} (squared), pair concurrences ok"
 
 
-def check_theorem1(quick: bool) -> str:
-    trials = _scaled(1000, quick)
+def check_theorem1() -> str:
+    trials = 1000
     worst = math.inf
     for dims in ([2] * 3, [2] * 4, [2] * 5, [3] * 3):
         for k in range(trials):
@@ -115,8 +111,8 @@ def check_theorem1(quick: bool) -> str:
     return f"{4 * trials} states, min slack {worst:.3e}"
 
 
-def check_locc_monotonicity(quick: bool) -> str:
-    trials = _scaled(200, quick)
+def check_locc_monotonicity() -> str:
+    trials = 200
     worst = math.inf
     for k in range(trials):
         n = 3 if k % 2 == 0 else 4
@@ -135,8 +131,8 @@ def check_locc_monotonicity(quick: bool) -> str:
     return f"{trials} channel pairs, min slack {worst:.3e}"
 
 
-def check_edge_monotonicity(quick: bool) -> str:
-    trials = _scaled(1000, quick)
+def check_edge_monotonicity() -> str:
+    trials = 1000
     rng = np.random.default_rng(202_000)
     step = 1e-5
     worst = math.inf
@@ -165,8 +161,8 @@ def check_edge_monotonicity(quick: bool) -> str:
     return f"{trials} samples, min derivative {worst:.3e}"
 
 
-def check_lu_invariance(quick: bool) -> str:
-    trials = _scaled(100, quick)
+def check_lu_invariance() -> str:
+    trials = 100
     worst = 0.0
     for k in range(trials):
         n = 3 + k % 3
@@ -186,8 +182,8 @@ def check_lu_invariance(quick: bool) -> str:
     return f"{trials} unitaries, max deviation {worst:.1e}"
 
 
-def check_f5_equivalence(quick: bool) -> str:
-    per_kind = _scaled(50, quick)
+def check_f5_equivalence() -> str:
+    per_kind = 50
     states = [random_biseparable(5, 300_000 + k) for k in range(per_kind)]
     states += [haar_random_pure([2] * 5, 301_000 + k)
                for k in range(per_kind)]
@@ -197,10 +193,12 @@ def check_f5_equivalence(quick: bool) -> str:
         if z1 != z2:
             raise AssertionError(
                 f"level-1 zero {z1} but level-2 zero {z2} (state {idx})")
+        if z1 and idx >= per_kind:
+            raise AssertionError(f"Haar state {idx} vanishes at both levels")
     return f"{len(states)} states, levels agree on vanishing"
 
 
-def check_witness_gauge(quick: bool) -> str:
+def check_witness_gauge() -> str:
     rho = partial_trace(w_state(4), (1, 2, 3))
     pur = minimal_purification(rho)
     worst = 0.0
@@ -237,13 +235,13 @@ CHECKS = [
 ]
 
 
-def run_selftest(out=None, quick: bool = False) -> bool:
+def run_selftest(out=None) -> bool:
     """Run every check, print one line each, return True iff all pass."""
     out = out or sys.stdout
     ok = True
     for name, fn in CHECKS:
         try:
-            detail = fn(quick)
+            detail = fn()
         except AssertionError as exc:
             ok = False
             print(f"FAIL {name}: {exc}", file=out)

@@ -46,7 +46,12 @@ def _complex_pair(value, where: str) -> complex:
                        for x in value)):
         raise ParseError(f"{where}: expected a [re, im] number pair, "
                          f"got {value!r}")
-    return complex(value[0], value[1])
+    try:
+        return complex(value[0], value[1])
+    except OverflowError:
+        bits = max(abs(x).bit_length() for x in value if isinstance(x, int))
+        raise ParseError(f"{where}: an integer of {bits} bits is too large "
+                         f"for a float") from None
 
 
 def parse_state_document(doc, tol: float = 1e-9,
@@ -136,6 +141,8 @@ def parse_state_file(path, tol: float = 1e-9) -> PureState | DensityMatrix:
         raise ParseError(
             f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        raise ParseError(f"{p}: {exc}") from exc
     return parse_state_document(doc, tol=tol, where=str(p))
 
 

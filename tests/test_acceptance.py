@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from trigme import (ConvexRoofConfig, DensityMatrix, EdgeConvention,
-                    all_cut_concurrences, convex_roof_upper_bound, f_total,
+                    all_cut_concurrences, convex_roof_upper_bound,
+                    decomposition_mixture_error, f_total,
                     finest_factorization, ghz_state, hermitian_eig,
                     partial_trace, w_state, witness, wootters_concurrence)
 from trigme.selftest import (check_edge_monotonicity, check_f5_equivalence,
@@ -125,18 +126,18 @@ def test_criterion_4_traced_appendix_c_witness(appendix_c_pure):
 
 def test_criterion_5_polygamy_inequalities():
     with criterion(5, "polygamy inequality suite", 60.0):
-        check_theorem1(quick=False)
+        check_theorem1()
 
 
 def test_criterion_6_locc_monotonicity():
     with criterion(6, "LOCC monotonicity", 120.0):
-        check_locc_monotonicity(quick=False)
-        check_edge_monotonicity(quick=False)
+        check_locc_monotonicity()
+        check_edge_monotonicity()
 
 
 def test_criterion_7_five_party_level_equivalence():
     with criterion(7, "five-party level equivalence", 60.0):
-        check_f5_equivalence(quick=False)
+        check_f5_equivalence()
 
 
 def test_criterion_8_convex_roof_sanity():
@@ -147,6 +148,13 @@ def test_criterion_8_convex_roof_sanity():
         assert result.value <= result.spectral_value + 1e-9
         assert result.value == pytest.approx(GHZ_MIX_ROOF_REFERENCE,
                                              abs=2e-2)
+        # effective two-qubit tangle roof gives exactly 9/16 analytically
+        assert result.value == pytest.approx(9.0 / 16.0, abs=2e-3)
+        assert decomposition_mixture_error(rho, result.decomposition) < 1e-7
+        weights = [p for p, _ in result.decomposition.members]
+        assert sum(weights) == pytest.approx(1.0, abs=1e-9)
+        hist = result.history
+        assert all(b <= a + 1e-15 for a, b in zip(hist, hist[1:]))
         classical = np.zeros((8, 8))
         classical[0, 0] = classical[7, 7] = 0.5
         trivial = convex_roof_upper_bound(
@@ -157,4 +165,4 @@ def test_criterion_8_convex_roof_sanity():
 
 def test_criterion_9_witness_gauge_invariance():
     with criterion(9, "witness gauge invariance", 10.0):
-        check_witness_gauge(quick=False)
+        check_witness_gauge()

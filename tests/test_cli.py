@@ -6,7 +6,7 @@ import pytest
 
 from trigme import parse_state_file
 from trigme.cli import run_command
-from trigme.selftest import run_selftest
+from trigme.selftest import CHECKS
 
 
 def run(capsys, *argv):
@@ -250,6 +250,26 @@ def test_malformed_json_exits_one(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+@pytest.mark.parametrize("kind", ["pure", "mixed"])
+def test_oversized_integer_exits_one_naming_the_field(capsys, tmp_path,
+                                                      kind):
+    # 10**400 has 401 digits, far beyond the largest float
+    zero = [0, 0]
+    if kind == "pure":
+        data, field = [[10 ** 400, 0]] + [zero] * 7, "data[0]"
+    else:
+        data = [[zero] * 8 for _ in range(8)]
+        data[0][0], field = [10 ** 400, 0], "data[0][0]"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "kind": kind,
+                                "data": data}))
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert f"{path}.{field}: an integer of 1329 bits is too large" in err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------ argument checks
 
 def test_tol_reaches_rank_one_projection(capsys, tmp_path):
@@ -300,10 +320,8 @@ def test_out_of_range_arguments_exit_one_naming_the_value(
 
 # ----------------------------------------------------------------- selftest
 
-def test_quick_selftest_campaign_passes(capsys):
-    import io
-    buf = io.StringIO()
-    assert run_selftest(buf, quick=True)
-    lines = buf.getvalue().strip().splitlines()
-    assert len(lines) == 8
-    assert all(line.startswith("PASS") for line in lines)
+def test_selftest_prints_one_pass_line_per_check(capsys):
+    code, out, _ = run(capsys, "selftest")
+    assert code == 0
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        f"PASS {name}" for name, _ in CHECKS]

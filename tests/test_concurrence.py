@@ -3,13 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from trigme import (DensityMatrix, LocalChannel, PureState,
-                    ValidationError, all_cut_concurrences,
-                    apply_local_channel_branches, basis_state,
-                    check_polygamy, concurrence_pure, ghz_state,
-                    haar_random_pure, partial_trace, tensor_product,
-                    w_state, wootters_concurrence)
-from trigme.states import haar_random_unitary
+from trigme import (Cut, DensityMatrix, PureState, ValidationError,
+                    all_cut_concurrences, basis_state, check_polygamy,
+                    concurrence_pure, ghz_state, haar_random_pure,
+                    partial_trace, tensor_product, w_state,
+                    wootters_concurrence)
 from oracles import brute_concurrence, pure_two_qubit_concurrence
 
 BELL = PureState((2, 2), np.array([1, 0, 0, 1]) / math.sqrt(2))
@@ -91,6 +89,13 @@ def test_table_lookup_canonicalizes_subsets():
         all_cut_concurrences(psi, 3)
 
 
+def test_table_lookup_names_a_party_count_mismatch():
+    table = all_cut_concurrences(ghz_state(4), 2)
+    with pytest.raises(ValidationError,
+                       match="cut is over 5 parties, table has 4"):
+        table.value(Cut.of((1,), 5))
+
+
 def test_table_agrees_with_concurrence_pure():
     psi = haar_random_pure([2, 2, 2, 2], 11)
     table = all_cut_concurrences(psi, 2)
@@ -165,22 +170,6 @@ def test_polygamy_needs_three_parties():
         check_polygamy(BELL)
 
 
-@pytest.mark.parametrize("dims", [[2] * 3, [2] * 4, [2] * 5, [3] * 3])
-def test_polygamy_holds_on_haar_states(dims):
-    for seed in range(200):
-        rep = check_polygamy(haar_random_pure(dims, 900 + seed))
-        assert rep.all_hold, (dims, seed, rep.min_slack)
-
-
-def test_linear_entropy_inequality_on_tripartite_marginals():
-    # both sides of the inequality on two-party marginals of pure states
-    for seed in range(200):
-        rep = check_polygamy(haar_random_pure([2, 2, 2], 2000 + seed))
-        for low, high in rep.linear_entropy_slacks.values():
-            assert low >= -1e-9
-            assert high >= -1e-9
-
-
 def test_polygamy_report_counts():
     rep = check_polygamy(haar_random_pure([2] * 4, 1))
     assert len(rep.squared_slacks) == 4
@@ -188,19 +177,3 @@ def test_polygamy_report_counts():
     assert len(rep.triangle_slacks) == 6
     assert len(rep.linear_entropy_slacks) == 6
     assert len(rep.all_slacks()) == 12 + 4 + 4 + 18
-
-
-# -------------------------------------------------- local unitary gauge
-
-def test_cut_table_invariant_under_local_unitaries():
-    for trial in range(100):
-        n = 3 + trial % 3
-        psi = haar_random_pure([2] * n, 3000 + trial)
-        rng = np.random.default_rng(4000 + trial)
-        u = haar_random_unitary(2, rng)
-        rotated = apply_local_channel_branches(
-            psi, LocalChannel(trial % n + 1, (u,)))[0][1]
-        before = all_cut_concurrences(psi, n // 2)
-        after = all_cut_concurrences(rotated, n // 2)
-        for cut, value in before.entries.items():
-            assert after.entries[cut] == pytest.approx(value, abs=1e-9)

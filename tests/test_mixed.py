@@ -5,12 +5,9 @@ import pytest
 
 import trigme.mixed
 from trigme import (ConvexRoofConfig, DensityMatrix, EdgeConvention,
-                    LocalChannel, PureState, ValidationError,
-                    apply_local_channel_branches, convex_roof_upper_bound,
-                    decomposition_mixture_error, f_total, ghz_state,
-                    haar_random_pure, hermitian_eig, minimal_purification,
-                    partial_trace, witness)
-from trigme.states import haar_random_unitary
+                    ValidationError, convex_roof_upper_bound, f_total,
+                    ghz_state, haar_random_pure, hermitian_eig,
+                    minimal_purification, partial_trace, witness)
 from oracles import GHZ_MIX_ROOF_REFERENCE, ghz_000_mixture
 
 CONC = EdgeConvention.CONCURRENCE
@@ -139,23 +136,6 @@ def test_witness_needs_three_parties():
         witness(rho)
 
 
-def test_witness_gauge_invariance(appendix_e_rho):
-    pur = minimal_purification(appendix_e_rho)
-    for conv in (CONC, SQ):
-        base = f_total(pur.state, conv).value
-        for k in range(20):
-            rng = np.random.default_rng(500 + k)
-            u = haar_random_unitary(pur.rank, rng)
-            gauged = apply_local_channel_branches(
-                pur.state, LocalChannel(pur.reference_party, (u,)))[0][1]
-            assert abs(f_total(gauged, conv).value - base) < 1e-8
-        block = pur.state.amplitudes.reshape(-1, pur.rank)
-        padded = np.hstack([block, np.zeros((block.shape[0], 3))])
-        padded_state = PureState(appendix_e_rho.dims + (pur.rank + 3,),
-                                 padded.reshape(-1))
-        assert abs(f_total(padded_state, conv).value - base) < 1e-8
-
-
 # ------------------------------------------------ convex_roof_upper_bound
 
 def test_roof_of_pure_state_is_its_value():
@@ -171,23 +151,6 @@ def test_roof_of_classical_mixture_is_zero():
                                      ConvexRoofConfig(restarts=2))
     assert result.value <= 1e-6
     assert result.spectral_value <= 1e-6
-
-
-def test_roof_of_ghz_000_mixture_matches_grid_oracle():
-    result = convex_roof_upper_bound(ghz_000_rho(), CONC)
-    assert result.value <= result.spectral_value + 1e-9
-    assert result.value == pytest.approx(GHZ_MIX_ROOF_REFERENCE, abs=2e-2)
-    # effective two-qubit tangle roof gives exactly 9/16 analytically
-    assert result.value == pytest.approx(9.0 / 16.0, abs=2e-3)
-    err = decomposition_mixture_error(ghz_000_rho(), result.decomposition)
-    assert err < 1e-7
-
-
-def test_roof_history_is_monotone():
-    result = convex_roof_upper_bound(ghz_000_rho(), CONC,
-                                     ConvexRoofConfig(restarts=8, seed=4))
-    hist = result.history
-    assert all(hist[i + 1] <= hist[i] + 1e-15 for i in range(len(hist) - 1))
 
 
 def test_roof_same_seed_is_deterministic():
@@ -218,19 +181,19 @@ def test_rank_tolerance_above_every_eigenvalue_is_refused(measure):
         measure(rho, rank_tol=0.5)
 
 
+@pytest.mark.parametrize("measure", [minimal_purification, witness,
+                                     convex_roof_upper_bound])
+def test_negative_rank_tolerance_is_refused(measure):
+    rho = partial_trace(haar_random_pure([2] * 4, 5), (1, 2, 3))
+    with pytest.raises(ValidationError,
+                       match="rank tolerance must be >= 0, got -1"):
+        measure(rho, rank_tol=-1)
+
+
 def test_roof_rejects_undersized_ensembles():
     with pytest.raises(ValidationError, match="no such decomposition"):
         convex_roof_upper_bound(ghz_000_rho(), CONC,
                                 ConvexRoofConfig(ensemble_sizes=(1,)))
-
-
-def test_roof_decomposition_weights_and_mixture():
-    result = convex_roof_upper_bound(ghz_000_rho(), CONC,
-                                     ConvexRoofConfig(restarts=4, seed=2))
-    total = sum(p for p, _ in result.decomposition.members)
-    assert total == pytest.approx(1.0, abs=1e-9)
-    assert decomposition_mixture_error(
-        ghz_000_rho(), result.decomposition) < 1e-7
 
 
 @pytest.mark.slow

@@ -1,14 +1,16 @@
 import importlib.util
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from trigme import (DensityMatrix, ParseError, PureState, ValidationError,
-                    ghz_state, haar_random_pure, hermitian_eig,
-                    parse_state_document, parse_state_file, partial_trace,
-                    render_state_document, state_document, w_state,
-                    wootters_concurrence, write_state_file)
+from trigme import (DensityMatrix, ParseError, PureState, TrigmeError,
+                    ValidationError, ghz_state, haar_random_pure,
+                    hermitian_eig, parse_state_document, parse_state_file,
+                    partial_trace, render_state_document, state_document,
+                    w_state, wootters_concurrence, write_state_file)
 from trigme.stateio import document_checksum, fixture_path
 
 
@@ -179,3 +181,36 @@ def test_non_finite_values_in_a_parsed_document_are_rejected():
            "data": [[float("nan"), 0.0], [1.0, 0.0]]}
     with pytest.raises(ValidationError, match="not finite"):
         parse_state_document(doc)
+
+
+# ---------------------------------------------------- parser robustness
+
+def test_integer_literal_past_the_digit_limit_is_a_parse_error(tmp_path):
+    path = tmp_path / "state.json"
+    path.write_text('{"dims": [2], "kind": "pure", "data": '
+                    f'[[1{"0" * 5000}, 0], [0, 0]]}}')
+    with pytest.raises(ParseError, match="value has 5001 digits"):
+        parse_state_file(path)
+
+
+@st.composite
+def state_documents(draw):
+    """Shape-matched pure or mixed documents with arbitrary entries."""
+    dims = draw(st.lists(st.integers(2, 3), min_size=1, max_size=3))
+    d = math.prod(dims)
+    number = st.floats() | st.integers(-10 ** 400, 10 ** 400)
+    pair = st.lists(number, min_size=2, max_size=2)
+    row = st.lists(pair, min_size=d, max_size=d)
+    kind = draw(st.sampled_from(["pure", "mixed"]))
+    data = draw(row if kind == "pure"
+                else st.lists(row, min_size=d, max_size=d))
+    return {"dims": dims, "kind": kind, "data": data}
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(state_documents())
+def test_parser_raises_only_package_errors(doc):
+    try:
+        parse_state_document(doc)
+    except TrigmeError:
+        pass

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from trigme import (EdgeConvention, InternalInvariantError, PureState,
-                    TriangleEdges, ValidationError,
+from trigme import (EdgeConvention, InternalInvariantError, LocalChannel,
+                    PureState, TriangleEdges, ValidationError,
                     apply_local_channel_branches, basis_state, f3, f_level,
                     f_total, ghz_state, gme_value, haar_random_pure,
-                    heron_area_normalized, random_local_channel,
-                    tensor_product, w_state, all_cut_concurrences)
+                    heron_area_normalized, tensor_product, w_state,
+                    all_cut_concurrences)
+from trigme.states import haar_random_unitary
 from trigme.selftest import permute_parties, random_biseparable
 from oracles import coordinate_area_normalized
 
@@ -231,58 +232,9 @@ def test_gme_value_invariant_under_local_unitaries():
         n = 3 + trial % 2
         psi = haar_random_pure([2] * n, 9000 + trial)
         rng = np.random.default_rng(9500 + trial)
-        from trigme.states import haar_random_unitary
-        from trigme import LocalChannel
         u = haar_random_unitary(2, rng)
         rotated = apply_local_channel_branches(
             psi, LocalChannel(trial % n + 1, (u,)))[0][1]
         for conv in (CONC, SQ):
             assert gme_value(rotated, conv) == pytest.approx(
                 gme_value(psi, conv), abs=1e-9)
-
-
-def test_edge_monotonicity_of_squared_area():
-    # dG/dedge >= 0 inside the squared-polygamy cone, via central
-    # differences at step 1e-5
-    rng = np.random.default_rng(77)
-    step = 1e-5
-    checked = 0
-    while checked < 300:
-        e = rng.uniform(0.05, 1.0, size=3)
-        sq = e ** 2
-        if not (sq[0] <= sq[1] + sq[2] and sq[1] <= sq[0] + sq[2]
-                and sq[2] <= sq[0] + sq[1]):
-            continue
-        checked += 1
-
-        def g(v):
-            q = 0.5 * (v[0] + v[1] + v[2])
-            return q * (q - v[0]) * (q - v[1]) * (q - v[2])
-
-        for i in range(3):
-            hi, lo = e.copy(), e.copy()
-            hi[i] += step
-            lo[i] -= step
-            assert (g(hi) - g(lo)) / (2 * step) >= -1e-9
-
-
-def test_locc_branch_monotonicity_small_campaign():
-    for k in range(40):
-        n = 3 if k % 2 == 0 else 4
-        psi = haar_random_pure([2] * n, 7000 + k)
-        ch = random_local_channel(k % n + 1, 2, 2 + k % 3, 7500 + k)
-        branches = apply_local_channel_branches(psi, ch)
-        for conv in (CONC, SQ):
-            before = gme_value(psi, conv)
-            after = sum(p * gme_value(b, conv) for p, b in branches)
-            assert after <= before + 1e-7
-
-
-def test_f5_level_equivalence_small_suite():
-    for seed in range(10):
-        psi = random_biseparable(5, 8000 + seed)
-        assert (f_level(psi, 1) <= 1e-8) == (f_level(psi, 2) <= 1e-8)
-    for seed in range(10):
-        psi = haar_random_pure([2] * 5, 8500 + seed)
-        assert f_level(psi, 1) > 1e-8
-        assert f_level(psi, 2) > 1e-8
