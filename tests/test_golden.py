@@ -3,8 +3,10 @@
 The golden files pin the exact output of the pure-state pipeline: the
 ``analyze --json`` report of every shipped pure or rank-1 fixture and
 of two seeded 3-party Haar states, the
-``witness --json`` outcome of the two mixed fixtures, and ``repr`` of
-``gme_value`` on seeded Haar states under both edge conventions.  Each
+``witness --json`` outcome of the two mixed fixtures, ``repr`` of
+``gme_value`` on seeded Haar states under both edge conventions, and
+``repr`` of every number a small convex-roof search returns (value,
+spectral value, history and decomposition weights).  Each
 CLI golden holds the exit code, stdout and stderr, so a refusal (the
 rounded ``appendix_e_alt`` fails the witness's 1e-9 trace check) is
 pinned as well.  A change that alters any value in its last bit, or
@@ -21,11 +23,15 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from trigme import EdgeConvention, gme_value, haar_random_pure
+from trigme import (ConvexRoofConfig, DensityMatrix, EdgeConvention,
+                    convex_roof_upper_bound, gme_value, haar_random_pure,
+                    parse_state_file)
 from trigme.cli import run_command
 from trigme.stateio import fixture_path, write_state_file
+from oracles import ghz_000_mixture
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -53,6 +59,26 @@ CLI_CASES = {**ANALYZE_CASES, **WITNESS_CASES}
 GME_STATES = ([(f"haar-2^{n}", (2,) * n, 4000 + n) for n in range(4, 13)]
               + [("haar-3x3x3x3", (3, 3, 3, 3), 4100),
                  ("haar-3x2x4x2x3", (3, 2, 4, 2, 3), 4101)])
+
+
+
+def rank2_mixture(dims, seed: int) -> DensityMatrix:
+    """5/8 and 3/8 of two seeded Haar states."""
+    a, b = (haar_random_pure(dims, seed + k).amplitudes for k in (0, 1))
+    return DensityMatrix(dims, 0.625 * np.outer(a, a.conj())
+                         + 0.375 * np.outer(b, b.conj()))
+
+
+# Mixed states and (restarts, seed) of a small roof search on each:
+# every search runs under both conventions, capped at 100 iterations.
+ROOF_CASES = {
+    "ghz000-mix": (lambda: DensityMatrix((2, 2, 2), ghz_000_mixture()),
+                   1, 4300),
+    "appendix_e": (lambda: parse_state_file(fixture_path("appendix_e.json")),
+                   2, 4301),
+    "rank2-3x3x3": (lambda: rank2_mixture((3, 3, 3), 4302), 1, 4303),
+    "rank2-2^4": (lambda: rank2_mixture((2,) * 4, 4304), 1, 4305),
+}
 
 
 def state_path(name: str, tmp: str) -> str:
@@ -87,6 +113,23 @@ def gme_lines() -> str:
     return "\n".join(lines) + "\n"
 
 
+def roof_lines() -> str:
+    lines = []
+    for label, (make_rho, restarts, seed) in ROOF_CASES.items():
+        rho = make_rho()
+        config = ConvexRoofConfig(restarts=restarts, max_iterations=100,
+                                  seed=seed)
+        for conv in EdgeConvention:
+            res = convex_roof_upper_bound(rho, conv, config)
+            weights = tuple(p for p, _ in res.decomposition.members)
+            lines += [f"{label} restarts={restarts} seed={seed} {conv.value}",
+                      f"  value {res.value!r}",
+                      f"  spectral {res.spectral_value!r}",
+                      f"  history {res.history!r}",
+                      f"  weights {weights!r}"]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_report_bytes_match_golden(name):
     argv = CLI_CASES[name]
@@ -99,12 +142,18 @@ def test_gme_values_match_golden_bit_for_bit():
     assert gme_lines() == want
 
 
+def test_roof_searches_match_golden_bit_for_bit():
+    want = (GOLDEN / "roof_values.txt").read_text(encoding="utf-8")
+    assert roof_lines() == want
+
+
 def regenerate() -> None:
     GOLDEN.mkdir(exist_ok=True)
     for name, argv in CLI_CASES.items():
         (GOLDEN / f"{name}.out").write_text(cli_output(argv),
                                             encoding="utf-8")
     (GOLDEN / "gme_values.txt").write_text(gme_lines(), encoding="utf-8")
+    (GOLDEN / "roof_values.txt").write_text(roof_lines(), encoding="utf-8")
 
 
 if __name__ == "__main__":
