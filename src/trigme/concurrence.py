@@ -38,13 +38,24 @@ _SIGMA_YY = np.array([[0, 0, 0, -1],
                       [-1, 0, 0, 0]], dtype=complex)
 
 
-def _subset_purity(psi: PureState, keep0: list[int]) -> float:
-    """Tr(rho_S^2) evaluated on the smaller side of the bipartition."""
-    dk = math.prod(psi.dims[i] for i in keep0)
-    side = (keep0 if dk <= psi.dim // dk
-            else [i for i in range(psi.nparties) if i not in keep0])
-    g = _pure_marginal(psi.amplitudes, psi.dims, side)
-    return float(np.sum(np.abs(g) ** 2))
+def _smaller_side(dims: tuple[int, ...], keep0: list[int]) -> list[int]:
+    """The side of the bipartition with the smaller marginal (ties keep
+    ``keep0``)."""
+    dk = math.prod(dims[i] for i in keep0)
+    return (keep0 if dk <= math.prod(dims) // dk
+            else [i for i in range(len(dims)) if i not in keep0])
+
+
+def _subset_purity(amps: np.ndarray, dims: tuple[int, ...],
+                   keep0: list[int]):
+    """Tr(rho_S^2) evaluated on the smaller side of the bipartition.
+
+    A float for one state, or an array over the leading batch axes of
+    a stack of states (..., D).
+    """
+    g = _pure_marginal(amps, dims, _smaller_side(dims, keep0))
+    pur = (np.abs(g) ** 2).sum(axis=(-2, -1))
+    return float(pur) if amps.ndim == 1 else pur
 
 
 # cuts: canonical cuts by size, then lexicographically; index: either
@@ -77,8 +88,7 @@ def concurrence_pure(psi: PureState, cut) -> float:
     if c.nparties != psi.nparties:
         raise ValidationError(
             f"cut is over {c.nparties} parties, state has {psi.nparties}")
-    keep0 = [p - 1 for p in c.parties]
-    pur = _subset_purity(psi, keep0)
+    pur = _subset_purity(psi.amplitudes, psi.dims, [p - 1 for p in c.parties])
     return math.sqrt(max(0.0, 2.0 * (1.0 - pur)))
 
 
@@ -118,6 +128,43 @@ def all_cut_concurrences(psi: PureState,
     entries = {cut: concurrence_pure(psi, cut) for cut in _cut_plan(n).cuts
                if len(cut.parties) <= max_subset_size}
     return CutConcurrenceTable(psi.dims, max_subset_size, entries)
+
+
+@lru_cache(maxsize=32)  # one per dims
+def _cut_groups(dims: tuple[int, ...]) -> tuple:
+    """Canonical cuts grouped by the shape (dk, dr) of the marginal on
+    their smaller side: per group, the cuts' plan positions, a gather
+    index (g, D) that puts each cut's smaller side first, and the shape.
+    """
+    order = np.arange(math.prod(dims)).reshape(dims)
+    groups = {}
+    for k, cut in enumerate(_cut_plan(len(dims)).cuts):
+        side = _smaller_side(dims, [p - 1 for p in cut.parties])
+        rest = [i for i in range(len(dims)) if i not in side]
+        dk = math.prod(dims[i] for i in side)
+        ks, index = groups.setdefault((dk, order.size // dk), ([], []))
+        ks.append(k)
+        index.append(order.transpose(side + rest).reshape(-1))
+    out = tuple((np.array(ks), np.array(index), shape)
+                for shape, (ks, index) in groups.items())
+    for ks, index, _ in out:  # shared by every caller, like the plan
+        ks.setflags(write=False)
+        index.setflags(write=False)
+    return out
+
+
+def _cut_concurrences(amps: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
+    """Concurrences (m, K) of every canonical cut, in plan order, for
+    each row of a stack of validated states (m, D).
+
+    Each group of equal-shape cuts is one batched marginal over the
+    gathered rows (m, g, D) seen as states of dims (dk, dr); every entry
+    equals ``concurrence_pure`` of its row and cut bit for bit.
+    """
+    pur = np.empty((len(amps), len(_cut_plan(len(dims)).cuts)))
+    for ks, index, shape in _cut_groups(dims):
+        pur[:, ks] = _subset_purity(amps[:, index], shape, [0])
+    return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - pur)))
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:
@@ -194,8 +241,10 @@ def check_polygamy(psi: PureState) -> PolygamyReport:
     if n < 3:
         raise ValidationError("polygamy checks need at least 3 parties")
 
-    single_purity = {i: _subset_purity(psi, [i - 1]) for i in range(1, n + 1)}
-    pair_purity = {(i, j): _subset_purity(psi, [i - 1, j - 1])
+    amps, dims = psi.amplitudes, psi.dims
+    single_purity = {i: _subset_purity(amps, dims, [i - 1])
+                     for i in range(1, n + 1)}
+    pair_purity = {(i, j): _subset_purity(amps, dims, [i - 1, j - 1])
                    for i, j in combinations(range(1, n + 1), 2)}
 
     conc = {i: math.sqrt(max(0.0, 2.0 * (1.0 - single_purity[i])))

@@ -24,12 +24,11 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import InternalInvariantError, ValidationError
-from .states import DensityMatrix, PureState, hermitian_eig
-from .triangles import EdgeConvention, GmeReport, ZERO_AREA_TOL, f_total, \
-    gme_value
+from .states import DensityMatrix, PureState, _check_rows, hermitian_eig
+from .triangles import EdgeConvention, GmeReport, ZERO_AREA_TOL, \
+    _gme_values, f_total, gme_value
 
 RANK_TOL = 1e-9
 WEIGHT_FLOOR = 1e-12
@@ -204,19 +203,22 @@ class ConvexRoofResult:
 def _givens_unitary(m: int, params: np.ndarray) -> np.ndarray:
     """Product of complex Givens rotations over all index pairs."""
     u = np.eye(m, dtype=complex)
+    rot = np.eye(m, dtype=complex)  # reset to the identity after each use
+    angles = params.tolist()
     k = 0
     for p in range(m):
         for q in range(p + 1, m):
-            th, ph = params[k], params[k + 1]
+            th, ph = angles[k], angles[k + 1]
             k += 2
             c, s = math.cos(th), math.sin(th)
             e = complex(math.cos(ph), math.sin(ph))
-            rot = np.eye(m, dtype=complex)
             rot[p, p] = c
             rot[q, q] = c
             rot[p, q] = s * e
             rot[q, p] = -s * e.conjugate()
             u = u @ rot
+            rot[p, p] = rot[q, q] = 1.0
+            rot[p, q] = rot[q, p] = 0.0
     return u
 
 
@@ -236,18 +238,44 @@ def _param_count(m: int, r: int) -> int:
     return m * (m - 1) + r
 
 
+def minimize(fun, x0, args, method, options):
+    """``scipy.optimize.minimize``, imported on the first call: scipy is
+    most of the package's import time and only the roof search needs it."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, args=args, method=method, options=options)
+
+
+def _ensemble(sub: np.ndarray, iso: np.ndarray, dims: tuple[int, ...],
+              tol: float) -> tuple[list[float], np.ndarray]:
+    """Weights p_i and the validated stack (m, D) of normalized members
+    psi_i of the decomposition induced by an isometry."""
+    raw = (sub @ iso.T).T  # row i = unnormalized member i
+    weights = [float(np.vdot(row, row).real) for row in raw]
+    kept = [i for i, p in enumerate(weights) if p >= WEIGHT_FLOOR]
+    weights = [weights[i] for i in kept]
+    members = raw[kept] / np.sqrt(weights)[:, None]  # contiguous rows
+    _check_rows(dims, members, tol)
+    return weights, members
+
+
+def _ensemble_value(sub: np.ndarray, iso: np.ndarray, dims: tuple[int, ...],
+                    tol: float, conv: EdgeConvention) -> float:
+    """``sum_i p_i F(psi_i)`` over the decomposition induced by an
+    isometry, every member scored in one batched pass; equal bit for bit
+    to the sum of ``gme_value`` over ``_ensemble_members``."""
+    weights, members = _ensemble(sub, iso, dims, tol)
+    return math.fsum(p * v for p, v in
+                     zip(weights, _gme_values(members, dims, conv)))
+
+
 def _ensemble_members(sub: np.ndarray, iso: np.ndarray,
                       dims: tuple[int, ...],
                       tol: float) -> list[tuple[float, PureState]]:
     """Members (p_i, psi_i) of the decomposition induced by an isometry."""
-    raw = sub @ iso.T  # column i = unnormalized member i
-    out = []
-    for i in range(raw.shape[1]):
-        col = raw[:, i]
-        p = float(np.real(np.vdot(col, col)))
-        if p >= WEIGHT_FLOOR:
-            out.append((p, PureState(dims, col / math.sqrt(p), tol=tol)))
-    return out
+    weights, members = _ensemble(sub, iso, dims, tol)
+    return [(p, PureState(dims, psi, tol=tol))
+            for p, psi in zip(weights, members)]
 
 
 def convex_roof_upper_bound(
@@ -282,9 +310,8 @@ def convex_roof_upper_bound(
         return math.fsum(p * gme_value(psi, conv) for p, psi in members)
 
     def objective(params: np.ndarray, m: int) -> float:
-        iso = _isometry(m, r, params)
-        return objective_members(
-            _ensemble_members(sub, iso, rho.dims, state_tol))
+        return _ensemble_value(sub, _isometry(m, r, params), rho.dims,
+                               state_tol, conv)
 
     # Spectral baseline: identity isometry at m = r.
     spectral_members = _ensemble_members(sub, np.eye(r, dtype=complex),

@@ -97,7 +97,10 @@ def parse_state_document(doc, tol: float = 1e-9,
             raise ParseError(f"{where}.meta: expected an object")
         recorded = meta.get("checksum")
         if recorded is not None:
-            actual = document_checksum(dims, kind, data)
+            try:
+                actual = document_checksum(dims, kind, data)
+            except RecursionError:
+                raise ParseError(f"{where}.data: nested too deeply") from None
             if recorded != actual:
                 raise ParseError(
                     f"{where}.meta.checksum: recorded {recorded} does not "
@@ -143,6 +146,8 @@ def parse_state_file(path, tol: float = 1e-9) -> PureState | DensityMatrix:
             f"{exc.msg}") from exc
     except ValueError as exc:  # an integer literal past the digit limit
         raise ParseError(f"{p}: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"{p}: JSON nested too deeply") from None
     return parse_state_document(doc, tol=tol, where=str(p))
 
 

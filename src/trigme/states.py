@@ -151,9 +151,12 @@ class PureState:
         if amps.size != d:
             raise ValidationError(
                 f"amplitude length {amps.size} != product of dims {d}")
-        norm = float(np.linalg.norm(amps))
-        if not math.isfinite(norm):  # NaN or inf somewhere in the vector
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(amps))
+        if not math.isfinite(norm):  # NaN or inf, or a square overflowed
             _check_finite(amps, "amplitude")
+            scale = float(np.max(np.abs(amps)))
+            norm = scale * float(np.linalg.norm(amps / scale))
         if abs(norm - 1.0) > self.tol:
             raise ValidationError(
                 f"state norm {norm!r} deviates from 1 by more than {self.tol}")
@@ -289,13 +292,35 @@ def _keep_axes(state_dims: tuple[int, ...], keep) -> list[int]:
     return [p - 1 for p in labels]
 
 
+def _check_rows(dims: tuple[int, ...], rows: np.ndarray, tol: float) -> None:
+    """PureState's checks on every row of an (m, D) stack of amplitudes.
+
+    The squared norms are screened together.  A squared norm within
+    ``tol`` of 1 puts the norm within about ``tol / 2`` of 1, far inside
+    PureState's bound whatever the rounding; every other row (NaN and
+    infinities included) gets PureState's own check, which decides and
+    raises exactly as it does for one state.
+    """
+    sq = np.einsum("ij,ij->i", rows.conj(), rows).real
+    ok = np.abs(sq - 1.0) <= tol
+    if not ok.all():
+        for i in np.flatnonzero(~ok).tolist():
+            PureState(dims, rows[i], tol=tol)
+
+
 def _pure_marginal(amps: np.ndarray, dims: tuple[int, ...],
                    keep0: list[int]) -> np.ndarray:
-    """Reduced density matrix of a pure state over 0-based axes keep0."""
+    """Reduced density matrix of a pure state over 0-based axes keep0.
+
+    ``amps`` may carry leading batch axes, (..., D) -> (..., dk, dk);
+    each matrix equals the one of its state alone, bit for bit.
+    """
     drop0 = [i for i in range(len(dims)) if i not in keep0]
     dk = math.prod(dims[i] for i in keep0)
-    m = amps.reshape(dims).transpose(keep0 + drop0).reshape(dk, -1)
-    return m @ m.conj().T
+    lead = amps.shape[:-1]
+    axes = list(range(len(lead))) + [len(lead) + i for i in keep0 + drop0]
+    m = amps.reshape(lead + dims).transpose(axes).reshape(lead + (dk, -1))
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 def _mixed_marginal(mat: np.ndarray, dims: tuple[int, ...],

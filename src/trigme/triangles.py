@@ -20,7 +20,9 @@ local dimension, and such triangles are inventoried instead.
 
 All measures share one engine: a vectorised pass per level over edge
 positions kept in the cached cut plan, with scalar powers, logs and
-``math.fsum``, so values match the scalar formulas bit for bit.
+``math.fsum``, so values match the scalar formulas bit for bit.  The
+engine takes a leading batch axis of states: the convex-roof objective
+scores every ensemble member in one pass per cut shape and per level.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 
 from .errors import InternalInvariantError, ValidationError
 from .states import PureState
-from .concurrence import CutConcurrenceTable, _cut_plan, all_cut_concurrences
+from .concurrence import _cut_concurrences, _cut_plan, all_cut_concurrences
 
 ZERO_AREA_TOL = 1e-8
 ZERO_EDGE_TOL = 1e-6
@@ -184,35 +186,40 @@ def _tripartitions(nparties: int, level: int):
             yield (i,), s, tuple(p for p in others if p not in s)
 
 
-def _level_areas(table: CutConcurrenceTable, level: int,
-                 conv: EdgeConvention) -> tuple[np.ndarray, list[float]]:
-    """Raw edge concurrences (3, T) and areas of a level; breaches raise."""
-    n, plan = len(table.dims), _cut_plan(len(table.dims))
+def _level_areas(values: np.ndarray, n: int, level: int,
+                 conv: EdgeConvention, live: list[bool] | None = None
+                 ) -> tuple[np.ndarray, list[list[float]]]:
+    """Raw edge concurrences (m, 3, T) and areas (m lists of T) of a
+    level, from rows of cut concurrences (m, K) in plan order.  A breach
+    raises unless its row is marked False in ``live``."""
+    plan = _cut_plan(n)
     if level not in plan.levels:  # (3, T) table positions of the edges
         pos = np.array([[plan.index[v] for v in labels]
                         for labels in _tripartitions(n, level)]).T
         pos.setflags(write=False)  # shared by every caller of the plan
         plan.levels[level] = pos
-    values = np.fromiter(table.entries.values(), float, len(table))
-    raw = values[plan.levels[level]]
+    raw = values[:, plan.levels[level]]
     edges = raw if conv is EdgeConvention.CONCURRENCE else raw * raw
-    a, b, c = edges
-    q = 0.5 * (a + b + c)
-    rad = (16.0 / 3.0) * q * (q - a) * (q - b) * (q - c)
+    q = 0.5 * (edges[:, 0] + edges[:, 1] + edges[:, 2])
+    gap = q[:, None] - edges  # Q - a, Q - b, Q - c
+    rad = (16.0 / 3.0) * q * gap[:, 0] * gap[:, 1] * gap[:, 2]
     # A vanishing edge forces zero area analytically; rounding noise on
     # a near-zero concurrence otherwise leaks into a spurious tiny area.
-    zero = raw.min(axis=0) <= ZERO_EDGE_TOL
-    bad = ((np.maximum(np.maximum(a, b), c) > q + TRIANGLE_SLACK_TOL)
+    zero = raw.min(axis=1) <= ZERO_EDGE_TOL
+    bad = ((edges.max(axis=1) > q + TRIANGLE_SLACK_TOL)
            | (~zero & (rad < -TRIANGLE_SLACK_TOL)))
+    if live is not None and bad.any():
+        bad &= np.array(live)[:, None]
     if bad.any():
-        k = int(np.argmax(bad))
+        i, k = np.unravel_index(np.argmax(bad), bad.shape)
         raise InternalInvariantError(
-            f"polygamy violated: edges {tuple(edges[:, k].tolist())}, Heron "
-            f"radicand {rad[k].item()!r}, for vertices "
+            f"polygamy violated: edges {tuple(edges[i, :, k].tolist())}, "
+            f"Heron radicand {rad[i, k].item()!r}, for vertices "
             f"{list(_tripartitions(n, level))[k]}")
+    rad[zero] = 0.0
     e = conv.exponent
-    return raw, [r ** e for r in
-                 np.where(zero, 0.0, np.maximum(rad, 0.0)).tolist()]
+    return raw, [[r ** e for r in row] for row in
+                 np.maximum(rad, 0.0).tolist()]
 
 
 def _geometric_mean(values: list[float], floor: float) -> float:
@@ -227,25 +234,43 @@ def _geometric_mean(values: list[float], floor: float) -> float:
     return math.exp(math.fsum(map(math.log, values)) / len(values))
 
 
-def _measure(psi: PureState, conv: EdgeConvention,
-             inventory: list | None = None) -> tuple[dict[int, float], float]:
-    """Level values and total, stopping at a zero level unless
-    ``inventory`` is given: then every level's (level, raw edges, areas)
-    is appended.  At N = 3 both are the single triangle's area."""
-    n = psi.nparties
-    table = all_cut_concurrences(psi, n // 2)
-    values = {}
+def _measure(values: np.ndarray, n: int, conv: EdgeConvention,
+             inventory: list | None = None
+             ) -> list[tuple[dict[int, float], float]]:
+    """Level values and total of each row of cut concurrences (m, K).
+
+    A row stops at its first zero level unless ``inventory`` is given:
+    then every level's (level, raw edges, areas) of the first row is
+    appended.  At N = 3 both are the single triangle's area.
+    """
+    rows = [{} for _ in range(len(values))]
+    live = [True] * len(values)
     for level in range(1, max(1, (n - 2) // 2) + 1):
-        raw, areas = _level_areas(table, level, conv)
-        values[level] = _geometric_mean(areas, ZERO_AREA_TOL)
+        raw, areas = _level_areas(values, n, level, conv, live)
+        for i, row in enumerate(rows):
+            if live[i]:
+                row[level] = _geometric_mean(areas[i], ZERO_AREA_TOL)
+                live[i] = inventory is not None or row[level] != 0.0
         if inventory is not None:
-            inventory.append((level, raw, areas))
-        elif values[level] == 0.0:
-            return values, 0.0
+            inventory.append((level, raw[0], areas[0]))
     if n == 3:
-        values[1] = areas[0] if areas[0] > ZERO_AREA_TOL else 0.0
-        return values, values[1]
-    return values, _geometric_mean(list(values.values()), 0.0)
+        return [({1: v}, v) for v in (a[0] if a[0] > ZERO_AREA_TOL else 0.0
+                                      for a in areas)]
+    return [(v, _geometric_mean(list(v.values()), 0.0)) for v in rows]
+
+
+def _table_values(psi: PureState, max_subset_size: int) -> np.ndarray:
+    """The cut table of ``psi`` as one row (1, K) in plan order."""
+    table = all_cut_concurrences(psi, max_subset_size)
+    return np.fromiter(table.entries.values(), float, len(table))[None]
+
+
+def _gme_values(amps: np.ndarray, dims: tuple[int, ...],
+                conv: EdgeConvention) -> list[float]:
+    """``gme_value`` of each row of a stack of validated states (m, D),
+    bit for bit, in one pass per cut and one per level."""
+    return [total for _, total in
+            _measure(_cut_concurrences(amps, dims), len(dims), conv)]
 
 
 def f3(psi: PureState, conv: EdgeConvention = EdgeConvention.CONCURRENCE
@@ -273,8 +298,9 @@ def f_level(psi: PureState, level: int,
     if not 1 <= level <= n - 3:
         raise ValidationError(
             f"level {level} out of range 1..{n - 3} for {n} parties")
-    table = all_cut_concurrences(psi, min(level + 1, n // 2))
-    return _geometric_mean(_level_areas(table, level, conv)[1], ZERO_AREA_TOL)
+    values = _table_values(psi, min(level + 1, n // 2))
+    return _geometric_mean(_level_areas(values, n, level, conv)[1][0],
+                           ZERO_AREA_TOL)
 
 
 def f_total(psi: PureState,
@@ -288,7 +314,8 @@ def f_total(psi: PureState,
     if n < 3:
         raise ValidationError(f"f_total needs at least 3 parties, got {n}")
     levels = []
-    level_values, total = _measure(psi, conv, levels)
+    [(level_values, total)] = _measure(_table_values(psi, n // 2), n, conv,
+                                       levels)
     triangles, zero = [], {}
     for level, raw, areas in levels:
         for labels, edge_raw, area in zip(_tripartitions(n, level),
@@ -315,4 +342,5 @@ def gme_value(psi: PureState,
     if psi.nparties < 3:
         raise ValidationError(
             f"gme_value needs at least 3 parties, got {psi.nparties}")
-    return _measure(psi, conv)[1]
+    n = psi.nparties
+    return _measure(_table_values(psi, n // 2), n, conv)[0][1]

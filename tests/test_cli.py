@@ -1,9 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import trigme
 from trigme import parse_state_file
 from trigme.cli import run_command
 from trigme.selftest import CHECKS
@@ -236,6 +242,19 @@ def test_unknown_command_exits_one(capsys):
     assert "usage:" in err
 
 
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy is most of the start-up time; only the roof search needs it
+    src = str(Path(trigme.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, trigme.cli; "
+         "print(trigme.cli.__file__); print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [str(Path(src) / "trigme" / "cli.py"),
+                                        "False"]
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, "--help")
     assert code == 0
@@ -267,6 +286,30 @@ def test_oversized_integer_exits_one_naming_the_field(capsys, tmp_path,
     assert code == 1
     assert out == ""
     assert f"{path}.{field}: an integer of 1329 bits is too large" in err
+    assert "Traceback" not in err
+
+
+def test_overflowing_amplitude_reports_its_true_norm(capsys, tmp_path):
+    # 1e300 is a finite float, but its square overflows
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"dims": [2, 2, 2], "kind": "pure",
+                                "data": [[1e300, 0]] + [[0, 0]] * 7}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails
+        code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert "state norm 1e+300 deviates from 1 by more than 1e-09" in err
+
+
+def test_deeply_nested_document_exits_one(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text('{"dims": [2], "kind": "pure", "data": '
+                    + "[" * 100_000 + "]" * 100_000 + "}")
+    code, out, err = run(capsys, "analyze", str(path))
+    assert code == 1
+    assert out == ""
+    assert f"{path}: JSON nested too deeply" in err
     assert "Traceback" not in err
 
 

@@ -4,10 +4,16 @@ import numpy as np
 import pytest
 
 import trigme.mixed
+import trigme.triangles
 from trigme import (ConvexRoofConfig, DensityMatrix, EdgeConvention,
-                    ValidationError, convex_roof_upper_bound, f_total,
-                    ghz_state, haar_random_pure, hermitian_eig,
-                    minimal_purification, partial_trace, witness)
+                    InternalInvariantError, PureState, ValidationError,
+                    convex_roof_upper_bound, f_total, ghz_state, gme_value,
+                    haar_random_pure, hermitian_eig, minimal_purification,
+                    partial_trace, tensor_product, witness)
+from trigme.mixed import (WEIGHT_FLOOR, _ensemble, _ensemble_members,
+                          _ensemble_value, _isometry, _kept_spectrum,
+                          _param_count)
+from trigme.states import _check_rows
 from oracles import GHZ_MIX_ROOF_REFERENCE, ghz_000_mixture
 
 CONC = EdgeConvention.CONCURRENCE
@@ -194,6 +200,132 @@ def test_roof_rejects_undersized_ensembles():
     with pytest.raises(ValidationError, match="no such decomposition"):
         convex_roof_upper_bound(ghz_000_rho(), CONC,
                                 ConvexRoofConfig(ensemble_sizes=(1,)))
+
+
+# ------------------------------------------------- batched roof objective
+
+def random_mixture(dims, rank: int, seed: int) -> DensityMatrix:
+    """Dirichlet-weighted mixture of ``rank`` seeded Haar states."""
+    weights = np.random.default_rng(seed).dirichlet(np.ones(rank))
+    amps = [haar_random_pure(dims, seed + k).amplitudes for k in range(rank)]
+    return DensityMatrix(dims, sum(p * np.outer(a, a.conj())
+                                   for p, a in zip(weights, amps)))
+
+
+def member_by_member(sub, iso, dims, conv) -> float:
+    """The objective as one ``gme_value`` per member, each member built
+    as a ``PureState`` from its own column."""
+    raw = sub @ iso.T
+    terms = []
+    for i in range(raw.shape[1]):
+        col = raw[:, i]
+        p = float(np.real(np.vdot(col, col)))
+        if p >= WEIGHT_FLOOR:
+            psi = PureState(dims, col / math.sqrt(p))
+            terms.append(p * gme_value(psi, conv))
+    return math.fsum(terms)
+
+
+def spectral_factor(rho):
+    vals, vecs = _kept_spectrum(rho, 1e-9)
+    return vecs * np.sqrt(vals), len(vals)
+
+
+def assert_batched_equals_member_by_member(rho, isometries):
+    sub, _ = spectral_factor(rho)
+    for iso in isometries:
+        for conv in EdgeConvention:
+            batched = _ensemble_value(sub, iso, rho.dims, 1e-9, conv)
+            assert batched == member_by_member(sub, iso, rho.dims, conv)
+            assert batched == math.fsum(
+                p * gme_value(psi, conv)
+                for p, psi in _ensemble_members(sub, iso, rho.dims, 1e-9))
+
+
+def random_isometries(r: int, count: int, seed: int):
+    rng = np.random.default_rng(seed)
+    for m in range(r, r + 3):
+        for _ in range(count):
+            params = rng.uniform(0.0, 2.0 * math.pi, _param_count(m, r))
+            yield _isometry(m, r, params)
+
+
+@pytest.mark.parametrize("dims, rank", [
+    ((2, 2, 2), 2), ((2, 2, 2), 3), ((3, 3, 3), 2), ((2,) * 4, 2),
+    ((5, 2, 2), 2),  # the party-1 cut is cheaper on the {2, 3} side
+])
+def test_batched_objective_equals_member_by_member_sum(dims, rank):
+    rho = random_mixture(dims, rank, 700 + len(dims) * rank)
+    assert_batched_equals_member_by_member(
+        rho, random_isometries(rank, 15, 710 + rank))
+
+
+@pytest.mark.parametrize("rho", [
+    # party 1 is a product factor of every member: every edge at
+    # party 1 vanishes, at N = 6 already on level 1
+    tensor_product([haar_random_pure([2], 720),
+                    haar_random_pure([2] * 3, 721)]).projector(),
+    DensityMatrix((2,) * 4, np.kron(
+        np.diag([1.0, 0.0]),
+        random_mixture((2, 2, 2), 2, 722).entries)),
+    DensityMatrix((2,) * 6, np.kron(
+        np.diag([1.0, 0.0]),
+        random_mixture((2,) * 5, 2, 723).entries)),
+    # spectral members GHZ_3 and |000>: one scores, one has zero edges
+    ghz_000_rho(),
+], ids=["rank1", "product-2^4", "product-2^6", "ghz000"])
+def test_batched_objective_handles_members_with_zero_edges(rho):
+    _, r = spectral_factor(rho)
+    isometries = [np.eye(r, dtype=complex),
+                  *random_isometries(r, 3, 730 + len(rho.dims))]
+    assert_batched_equals_member_by_member(rho, isometries)
+
+
+def test_batched_objective_raises_on_an_edge_breach(monkeypatch):
+    # the second member's edges break the triangle inequality
+    rows = np.array([[0.5, 0.5, 0.5], [1.0, 1.0, 3.0]])
+    monkeypatch.setattr(trigme.triangles, "_cut_concurrences",
+                        lambda amps, dims: rows)
+    sub, r = spectral_factor(ghz_000_rho())
+    vertices = r"\(\(1,\), \(2,\), \(3,\)\)"
+    with pytest.raises(InternalInvariantError,
+                       match=rf"polygamy violated: edges \(1.0, 1.0, 3.0\)"
+                             rf".*{vertices}"):
+        _ensemble_value(sub, np.eye(r, dtype=complex), (2, 2, 2), 1e-9,
+                        CONC)
+
+
+@pytest.mark.parametrize("bad_row", [
+    np.full(8, 1.1 / math.sqrt(8.0), dtype=complex),      # norm 1.1
+    np.full(8, (1.0 + 1.1e-9) / math.sqrt(8.0), dtype=complex),
+    np.array([0.5, 0.5, 0.5, np.nan, 0.5, 0, 0, 0], dtype=complex),
+    np.array([np.inf, 0, 0, 0, 0, 0, 0, 0], dtype=complex),
+], ids=["norm-1.1", "norm-just-past-tol", "nan", "inf"])
+def test_member_rows_are_refused_with_pure_state_messages(bad_row):
+    good = haar_random_pure((2, 2, 2), 740).amplitudes
+    rows = np.array([good, bad_row])
+    with pytest.raises(ValidationError) as single:
+        PureState((2, 2, 2), bad_row)
+    with pytest.raises(ValidationError) as batched:
+        _check_rows((2, 2, 2), rows, 1e-9)
+    assert str(batched.value) == str(single.value)
+
+
+def test_member_rows_inside_the_norm_tolerance_pass():
+    # the screen sends this row to the scalar check, which accepts it
+    row = np.full(8, (1.0 + 0.9e-9) / math.sqrt(8.0), dtype=complex)
+    PureState((2, 2, 2), row)
+    _check_rows((2, 2, 2), np.array([row, row]), 1e-9)
+
+
+def test_ensemble_rows_are_the_member_states():
+    sub, r = spectral_factor(random_mixture((3, 3, 3), 2, 750))
+    iso = next(random_isometries(r, 1, 751))
+    weights, members = _ensemble(sub, iso, (3, 3, 3), 1e-9)
+    pairs = _ensemble_members(sub, iso, (3, 3, 3), 1e-9)
+    assert weights == [p for p, _ in pairs]
+    for row, (_, psi) in zip(members, pairs):
+        assert np.array_equal(row, psi.amplitudes)
 
 
 @pytest.mark.slow

@@ -18,8 +18,9 @@ from trigme import (EdgeConvention, InternalInvariantError,
                     all_cut_concurrences, f_level, f_total, ghz_state,
                     gme_value, haar_random_pure, heron_area_normalized,
                     tensor_product, w_state)
-from trigme.triangles import ZERO_EDGE_TOL
-from trigme.concurrence import CutConcurrenceTable, _cut_plan
+from trigme.triangles import ZERO_EDGE_TOL, _measure
+from trigme.concurrence import (CutConcurrenceTable, _cut_concurrences,
+                                _cut_plan)
 from trigme.states import Cut
 from trigme.selftest import random_biseparable
 from oracles import brute_concurrence, coordinate_area_normalized
@@ -161,6 +162,24 @@ def test_vanishing_edge_exempts_the_radicand_check(monkeypatch):
     rep = f_total(ghz_state(3))
     assert rep.value == 0.0
     assert rep.zero_triangles[0].zero_edges == ((1,),)
+
+
+def test_rows_stopped_at_a_zero_level_skip_the_later_checks():
+    # size-3 cuts of six parties are edges of level 2 only; make every
+    # one of them break the triangle inequality
+    product = tensor_product([haar_random_pure([2], 50),
+                              haar_random_pure([2] * 5, 51)])
+    haar = haar_random_pure([2] * 6, 52)
+    values = _cut_concurrences(
+        np.array([product.amplitudes, haar.amplitudes]), (2,) * 6)
+    sizes = np.array([len(cut.parties) for cut in _cut_plan(6).cuts])
+    values[:, sizes == 3] = 10.0
+    # the product row is zero on level 1, so gme_value never reaches
+    # level 2 for it; the batch must not either
+    assert _measure(values[:1], 6, EdgeConvention.CONCURRENCE) == [
+        ({1: 0.0}, 0.0)]
+    with pytest.raises(InternalInvariantError, match="polygamy violated"):
+        _measure(values, 6, EdgeConvention.CONCURRENCE)
 
 
 def test_plan_arrays_are_shared_not_rebuilt():

@@ -193,6 +193,25 @@ def test_integer_literal_past_the_digit_limit_is_a_parse_error(tmp_path):
         parse_state_file(path)
 
 
+@pytest.mark.parametrize("depth", [5_000, 100_000])
+def test_over_deep_nesting_is_a_parse_error(tmp_path, depth):
+    path = tmp_path / "deep.json"
+    path.write_text('{"dims": [2], "kind": "pure", "data": '
+                    + "[" * depth + "]" * depth + "}")
+    with pytest.raises(ParseError, match=f"{path}: JSON nested too deeply"):
+        parse_state_file(path)
+
+
+def test_over_deep_nesting_under_a_checksum_is_a_parse_error():
+    data = []
+    for _ in range(100_000):
+        data = [data]
+    doc = {"dims": [2], "kind": "pure", "data": data,
+           "meta": {"checksum": "0" * 64}}
+    with pytest.raises(ParseError, match=r"doc\.data: nested too deeply"):
+        parse_state_document(doc, where="doc")
+
+
 @st.composite
 def state_documents(draw):
     """Shape-matched pure or mixed documents with arbitrary entries."""
