@@ -254,7 +254,7 @@ def _ensemble(sub: np.ndarray, iso: np.ndarray, dims: tuple[int, ...],
     weights = [float(np.vdot(row, row).real) for row in raw]
     kept = [i for i, p in enumerate(weights) if p >= WEIGHT_FLOOR]
     weights = [weights[i] for i in kept]
-    members = raw[kept] / np.sqrt(weights)[:, None]  # contiguous rows
+    members = raw[kept] / np.sqrt(weights)[:, None]
     _check_rows(dims, members, tol)
     return weights, members
 
