@@ -31,10 +31,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Factorization:
-    """Disjoint party blocks whose tensor product reproduces the state."""
+    """Disjoint party blocks whose tensor product reproduces the state,
+    and the cuts within 10x of the threshold (``marginal_cuts``)."""
 
     factors: tuple[tuple[int, ...], ...]
     is_gme: bool
+    marginal_cuts: tuple[Cut, ...]
 
     def __post_init__(self):
         if self.is_gme != (len(self.factors) == 1):
@@ -42,7 +44,10 @@ class Factorization:
                                   "factor block")
 
 
-def _cut_table(psi: PureState, caller: str):
+def _split_cuts(psi: PureState, tol: float,
+                caller: str) -> tuple[list[Cut], list[Cut]]:
+    """Product cuts (at most ``tol``) and marginal cuts (above ``tol``,
+    within 10x of it) of one cut table, each sorted."""
     n = psi.nparties
     if n < 2:
         raise ValidationError(f"{caller} needs at least 2 parties")
@@ -50,21 +55,21 @@ def _cut_table(psi: PureState, caller: str):
         raise ValidationError(
             f"{caller} is capped at {MAX_PARTIES} parties (cut enumeration "
             f"is exponential); got {n}")
-    return all_cut_concurrences(psi, n // 2)
+    entries = all_cut_concurrences(psi, n // 2).entries
+    product = sorted(cut for cut, value in entries.items() if value <= tol)
+    marginal = sorted(cut for cut, value in entries.items()
+                      if tol < value <= MARGINAL_FACTOR * tol)
+    return product, marginal
 
 
 def product_cuts(psi: PureState, tol: float = DEFAULT_TOL) -> list[Cut]:
     """Canonical cuts whose concurrence is at most ``tol``."""
-    table = _cut_table(psi, "product_cuts")
-    return sorted(cut for cut, value in table.entries.items()
-                  if value <= tol)
+    return _split_cuts(psi, tol, "product_cuts")[0]
 
 
 def marginal_cuts(psi: PureState, tol: float = DEFAULT_TOL) -> list[Cut]:
     """Cuts within 10x of the threshold, flagged instead of classified."""
-    table = _cut_table(psi, "marginal_cuts")
-    return sorted(cut for cut, value in table.entries.items()
-                  if tol < value <= MARGINAL_FACTOR * tol)
+    return _split_cuts(psi, tol, "marginal_cuts")[1]
 
 
 def _refine_blocks(blocks: list[tuple[int, ...]],
@@ -111,11 +116,12 @@ def finest_factorization(psi: PureState,
     checking that the tensor product of the factor marginals equals
     |psi><psi| within ``tol`` clipped to [1e-6, 1e-2].  The upper clip
     keeps an absurdly loose cut threshold from hiding its own
-    misclassification.
+    misclassification.  The marginal cuts come from the same table.
     """
     n = psi.nparties
+    product, marginal = _split_cuts(psi, tol, "product_cuts")
     blocks = [tuple(range(1, n + 1))]
-    for cut in product_cuts(psi, tol):
+    for cut in product:
         blocks = _refine_blocks(blocks, cut.parties)
 
     err = _reconstruction_error(psi, blocks)
@@ -125,4 +131,4 @@ def finest_factorization(psi: PureState,
             f"inconsistent factorization: reconstruction error {err!r} "
             f"exceeds {recon_tol!r} for factors {tuple(blocks)}; the cut "
             f"threshold {tol!r} is likely too loose for this state")
-    return Factorization(tuple(blocks), is_gme=(len(blocks) == 1))
+    return Factorization(tuple(blocks), len(blocks) == 1, tuple(marginal))

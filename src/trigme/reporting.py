@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 from . import __version__
 from .classify import Factorization
-from .states import Cut
 from .triangles import GmeReport
 
 __all__ = [
@@ -47,16 +46,15 @@ def _subset_text(parties) -> str:
 
 @dataclass(frozen=True)
 class AnalysisReport:
-    """Everything the analyze command reports about one pure state."""
+    """Everything the analyze command reports about one pure state: one
+    GME report and one factorization, each carrying the cut values it
+    was built from."""
 
     input_digest: str
-    dims: tuple[int, ...]
     tolerance: float
     seed: int
     gme: GmeReport
-    cut_values: dict[Cut, float]
     factorization: Factorization
-    marginal_cuts: tuple[Cut, ...]
     notices: tuple[str, ...]
 
     def to_dict(self) -> dict:
@@ -64,12 +62,12 @@ class AnalysisReport:
         return {
             "tool_version": __version__,
             "input_digest": self.input_digest,
-            "dims": list(self.dims),
+            "dims": list(gme.dims),
             "tolerance": self.tolerance,
             "seed": self.seed,
             "convention": gme.convention.value,
             "cut_concurrences": {cut.label(): v
-                                 for cut, v in sorted(self.cut_values.items())},
+                                 for cut, v in sorted(gme.cut_values.items())},
             "level_values": {str(l): v
                              for l, v in sorted(gme.level_values.items())},
             "f_total": gme.value,
@@ -89,16 +87,17 @@ class AnalysisReport:
                  "vertices": [list(v) for v in t.vertex_labels],
                  "area": t.area}
                 for t in gme.areas_above_one],
-            "marginal_cuts": [c.label() for c in self.marginal_cuts],
+            "marginal_cuts": [c.label()
+                              for c in self.factorization.marginal_cuts],
             "notices": list(self.notices),
         }
 
     def to_text(self) -> str:
         gme = self.gme
-        n = len(self.dims)
+        n = len(gme.dims)
         lines = [
             f"input:       {self.input_digest}",
-            f"dims:        {'x'.join(str(d) for d in self.dims)}",
+            f"dims:        {'x'.join(str(d) for d in gme.dims)}",
             f"convention:  {gme.convention.value}",
             f"tolerance:   {self.tolerance:g}",
             f"F_{n} = {gme.value:.6f}",
@@ -106,7 +105,7 @@ class AnalysisReport:
         for l, v in sorted(gme.level_values.items()):
             lines.append(f"  level {l}: {v:.6f}")
         lines.append("cut concurrences:")
-        for cut, v in sorted(self.cut_values.items()):
+        for cut, v in sorted(gme.cut_values.items()):
             lines.append(f"  {cut.label():<12} {v:.10g}")
         factors = ",".join(_subset_text(f)
                            for f in self.factorization.factors)
@@ -125,9 +124,9 @@ class AnalysisReport:
             for t in gme.areas_above_one:
                 verts = ",".join(_subset_text(v) for v in t.vertex_labels)
                 lines.append(f"  ({verts})  area {t.area:.10g}")
-        if self.marginal_cuts:
+        if self.factorization.marginal_cuts:
             lines.append("marginal cuts (within 10x of tolerance):")
-            for c in self.marginal_cuts:
+            for c in self.factorization.marginal_cuts:
                 lines.append(f"  {c.label()}")
         for notice in self.notices:
             lines.append(f"note: {notice}")

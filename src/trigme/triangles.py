@@ -35,8 +35,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import InternalInvariantError, ValidationError
-from .states import PureState
-from .concurrence import _cut_concurrences, _cut_plan, all_cut_concurrences
+from .states import Cut, PureState
+from .concurrence import (CutConcurrenceTable, _cut_concurrences, _cut_plan,
+                          all_cut_concurrences)
 
 ZERO_AREA_TOL = 1e-8
 ZERO_EDGE_TOL = 1e-6
@@ -141,11 +142,13 @@ class GmeReport:
     ``value`` is exactly zero whenever some triangle area falls at or
     below ``ZERO_AREA_TOL``, so ``value == 0`` iff ``zero_triangles``
     is nonempty.  Triangles with area above ``1 + 1e-9`` are listed in
-    ``areas_above_one`` rather than clamped.
+    ``areas_above_one`` rather than clamped.  The triangles are built
+    from the cut table ``cut_values``.
     """
 
     convention: EdgeConvention
     dims: tuple[int, ...]
+    cut_values: dict[Cut, float]
     level_values: dict[int, float]
     value: float
     triangles: tuple[Triangle, ...]
@@ -259,9 +262,8 @@ def _measure(values: np.ndarray, n: int, conv: EdgeConvention,
     return [(v, _geometric_mean(list(v.values()), 0.0)) for v in rows]
 
 
-def _table_values(psi: PureState, max_subset_size: int) -> np.ndarray:
-    """The cut table of ``psi`` as one row (1, K) in plan order."""
-    table = all_cut_concurrences(psi, max_subset_size)
+def _table_values(table: CutConcurrenceTable) -> np.ndarray:
+    """A cut table as one row (1, K) in plan order."""
     return np.fromiter(table.entries.values(), float, len(table))[None]
 
 
@@ -298,7 +300,7 @@ def f_level(psi: PureState, level: int,
     if not 1 <= level <= n - 3:
         raise ValidationError(
             f"level {level} out of range 1..{n - 3} for {n} parties")
-    values = _table_values(psi, min(level + 1, n // 2))
+    values = _table_values(all_cut_concurrences(psi, min(level + 1, n // 2)))
     return _geometric_mean(_level_areas(values, n, level, conv)[1][0],
                            ZERO_AREA_TOL)
 
@@ -314,8 +316,8 @@ def f_total(psi: PureState,
     if n < 3:
         raise ValidationError(f"f_total needs at least 3 parties, got {n}")
     levels = []
-    [(level_values, total)] = _measure(_table_values(psi, n // 2), n, conv,
-                                       levels)
+    table = all_cut_concurrences(psi, n // 2)
+    [(level_values, total)] = _measure(_table_values(table), n, conv, levels)
     triangles, zero = [], {}
     for level, raw, areas in levels:
         for labels, edge_raw, area in zip(_tripartitions(n, level),
@@ -328,8 +330,8 @@ def f_total(psi: PureState,
                     tuple(v for v, x in zip(labels, edge_raw)
                           if x <= ZERO_EDGE_TOL)))
     above = tuple(t for t in triangles if t.area > 1.0 + UNIT_AREA_TOL)
-    return GmeReport(conv, psi.dims, level_values, total, tuple(triangles),
-                     tuple(zero.values()), above)
+    return GmeReport(conv, psi.dims, table.entries, level_values, total,
+                     tuple(triangles), tuple(zero.values()), above)
 
 
 def gme_value(psi: PureState,
@@ -343,4 +345,5 @@ def gme_value(psi: PureState,
         raise ValidationError(
             f"gme_value needs at least 3 parties, got {psi.nparties}")
     n = psi.nparties
-    return _measure(_table_values(psi, n // 2), n, conv)[0][1]
+    return _measure(_table_values(all_cut_concurrences(psi, n // 2)), n,
+                    conv)[0][1]

@@ -1,0 +1,70 @@
+"""Derandomized hypothesis properties: party-permutation invariance of
+the measures and bit-exact document round trips."""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from trigme import (DensityMatrix, EdgeConvention, PureState, f_total,
+                    gme_value, haar_random_pure, parse_state_document,
+                    partial_trace, render_state_document, tensor_product)
+
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
+
+
+def party_dims(min_size=3, max_size=6):
+    return st.lists(st.sampled_from([2, 3]), min_size=min_size,
+                    max_size=max_size)
+
+
+def _permuted(psi: PureState, perm: list[int]) -> PureState:
+    """The state with party k of the result being party perm[k] of psi."""
+    amps = psi.amplitudes.reshape(psi.dims).transpose(perm).reshape(-1)
+    return PureState(tuple(psi.dims[p] for p in perm), amps)
+
+
+@PROPERTY
+@given(dims=party_dims(), seed=st.integers(0, 2 ** 31),
+       conv=st.sampled_from(list(EdgeConvention)), data=st.data())
+def test_measures_are_invariant_under_party_permutation(dims, seed, conv,
+                                                        data):
+    psi = haar_random_pure(dims, seed)
+    moved = _permuted(psi, data.draw(st.permutations(range(len(dims)))))
+    value = gme_value(psi, conv)
+    assert abs(gme_value(moved, conv) - value) <= 1e-12
+    assert abs(f_total(moved, conv).value - value) <= 1e-12
+
+
+@PROPERTY
+@given(dims=party_dims(), seed=st.integers(0, 2 ** 31),
+       conv=st.sampled_from(list(EdgeConvention)), data=st.data())
+def test_product_states_stay_exactly_zero_under_party_permutation(
+        dims, seed, conv, data):
+    k = data.draw(st.integers(1, len(dims) - 1))
+    psi = tensor_product([haar_random_pure(dims[:k], seed),
+                          haar_random_pure(dims[k:], seed + 1)])
+    moved = _permuted(psi, data.draw(st.permutations(range(len(dims)))))
+    for state in (psi, moved):
+        assert gme_value(state, conv) == 0.0
+        assert f_total(state, conv).value == 0.0
+
+
+@PROPERTY
+@given(dims=party_dims(1, 3), seed=st.integers(0, 2 ** 31),
+       rank=st.integers(1, 3), pure=st.booleans())
+def test_documents_round_trip_bit_for_bit(dims, seed, rank, pure):
+    if pure:
+        state = haar_random_pure(dims, seed)
+    else:
+        state = partial_trace(haar_random_pure(dims + [rank], seed),
+                              range(1, len(dims) + 1))
+    back = parse_state_document(json.loads(render_state_document(
+        state, {"seed": seed})))
+    assert back.dims == state.dims
+    if pure:
+        assert isinstance(back, PureState)
+        assert np.array_equal(back.amplitudes, state.amplitudes)
+    else:
+        assert isinstance(back, DensityMatrix)
+        assert np.array_equal(back.entries, state.entries)
