@@ -310,7 +310,7 @@ def run_command(argv) -> int:
     except InternalInvariantError as exc:
         print(f"trigme: internal invariant breach: {exc}", file=sys.stderr)
         return 2
-    except TrigmeError as exc:
+    except (TrigmeError, MemoryError) as exc:
         print(f"trigme: error: {exc}", file=sys.stderr)
         return 1
 

@@ -12,15 +12,16 @@ bypass the construction and are scored directly.
 The convex-roof estimator parameterizes size-m decompositions by m x r
 matrices with orthonormal columns acting on the spectral ensemble;
 every decomposition of rho arises this way.  The ensemble average is
-minimized by derivative-free local search (Nelder-Mead over Givens
-rotation angles and column phases) with random restarts.  The result
-is an upper bound on the convex roof, never claimed optimal, and never
-worse than the spectral decomposition.
+minimized by derivative-free local search (an in-house adaptive
+Nelder-Mead over Givens rotation angles and column phases) with random
+restarts.  The result is an upper bound on the convex roof, never
+claimed optimal, and never worse than the spectral decomposition.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,12 +241,75 @@ def _param_count(m: int, r: int) -> int:
     return m * (m - 1) + r
 
 
-def minimize(fun, x0, args, method, options):
-    """``scipy.optimize.minimize``, imported on the first call: scipy is
-    most of the package's import time and only the roof search needs it."""
-    from scipy.optimize import minimize as scipy_minimize
+XATOL = 1e-7
+FATOL = 1e-11
+NONZDELT = 0.05  # relative offset of each axis vertex of the first simplex
+ZDELT = 0.00025  # its absolute offset where the coordinate is zero
 
-    return scipy_minimize(fun, x0, args=args, method=method, options=options)
+MinimizeResult = namedtuple("MinimizeResult", "x fun nit nfev success")
+
+
+def minimize(fun, x0: np.ndarray, max_iterations: int) -> MinimizeResult:
+    """Adaptive Nelder-Mead (Gao & Han, Comput. Optim. Appl. 51, 259
+    (2012)) from the axis simplex around ``x0``.
+
+    It does the arithmetic of ``scipy.optimize.minimize(fun, x0,
+    method="Nelder-Mead", options={"maxiter": max_iterations, "xatol":
+    XATOL, "fatol": FATOL, "adaptive": True})`` in scipy 1.17's order, so
+    every result is the same bit for bit.  ``success`` is False when the
+    search stopped at ``max_iterations`` before the simplex shrank below
+    XATOL and its values spread less than FATOL.
+    """
+    n = len(x0)
+    chi, psi, sigma = 1 + 2 / n, 0.75 - 1 / (2 * n), 1 - 1 / n
+    sim = np.tile(x0, (n + 1, 1))
+    axes = np.arange(n)
+    sim[axes + 1, axes] = np.where(x0 != 0, (1 + NONZDELT) * x0, ZDELT)
+    fsim = np.array([fun(x) for x in sim], dtype=float)
+    nfev = n + 1
+    for _ in range(2):  # scipy sorts twice here; ties may swap each time
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    nit = 1
+    while nit < max_iterations:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= XATOL
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= FATOL):
+            break
+        xbar = sim[:-1].sum(0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = fun(xr)
+        nfev += 1
+        step = None
+        if fxr < fsim[0]:
+            xe = (1 + chi) * xbar - chi * sim[-1]
+            fxe = fun(xe)
+            nfev += 1
+            step = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            step = (xr, fxr)
+        elif fxr < fsim[-1]:  # outside contraction
+            xc = (1 + psi) * xbar - psi * sim[-1]
+            fxc = fun(xc)
+            nfev += 1
+            if fxc <= fxr:
+                step = (xc, fxc)
+        else:  # inside contraction
+            xcc = (1 - psi) * xbar + psi * sim[-1]
+            fxcc = fun(xcc)
+            nfev += 1
+            if fxcc < fsim[-1]:
+                step = (xcc, fxcc)
+        if step is None:  # shrink towards the best vertex
+            sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
+            fsim[1:] = [fun(x) for x in sim[1:]]
+            nfev += n
+        else:
+            sim[-1], fsim[-1] = step
+        nit += 1
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return MinimizeResult(sim[0], np.min(fsim), nit, nfev,
+                          nit < max_iterations)
 
 
 def _ensemble(sub: np.ndarray, iso: np.ndarray, dims: tuple[int, ...],
@@ -308,13 +372,15 @@ def convex_roof_upper_bound(
             raise ValidationError(
                 f"ensemble size {m} < rank {r}: no such decomposition")
 
-    def objective(params: np.ndarray, m: int) -> float:
+    def objective(params: np.ndarray) -> float:
+        # m is the ensemble size of the enclosing scope, set before each use
         return _ensemble_value(sub, _isometry(m, r, params), rho.dims,
                                state_tol, conv)
 
     # Spectral baseline: all-zero parameters at m = r, the identity.
+    m = r
     best = (r, np.zeros(_param_count(r, r)))
-    spectral_value = best_value = objective(best[1], r)
+    spectral_value = best_value = objective(best[1])
     history = [best_value]
 
     seed_seq = np.random.SeedSequence(config.seed)
@@ -326,10 +392,7 @@ def convex_roof_upper_bound(
                 continue
             rng = np.random.default_rng(seed_seq.spawn(1)[0])
             x0 = rng.uniform(0.0, 2.0 * math.pi, size=nparams)
-            res = minimize(objective, x0, args=(m,), method="Nelder-Mead",
-                           options={"maxiter": config.max_iterations,
-                                    "xatol": 1e-7, "fatol": 1e-11,
-                                    "adaptive": True})
+            res = minimize(objective, x0, config.max_iterations)
             # require a margin above evaluation noise so the simpler
             # incumbent (e.g. the spectral ensemble) wins ties
             if res.fun < best_value - 1e-12:

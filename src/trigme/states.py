@@ -22,6 +22,8 @@ from .errors import ValidationError
 NORM_TOL = 1e-9
 KRAUS_TOL = 1e-9
 BRANCH_PROB_FLOOR = 1e-12
+# a complex amplitude takes 16 bytes, so no larger vector is addressable
+MAX_STATE_DIM = np.iinfo(np.intp).max // 16
 
 __all__ = [
     "Cut",
@@ -123,6 +125,11 @@ def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
         # reference party; state documents require d >= 2.
         if d < 1:
             raise ValidationError(f"local dimension {d} < 1")
+    total = math.prod(out)
+    if total > MAX_STATE_DIM:
+        raise ValidationError(
+            f"product of dims {total} exceeds the largest addressable "
+            f"state dimension {MAX_STATE_DIM}")
     return out
 
 
@@ -147,7 +154,7 @@ class PureState:
     def __post_init__(self):
         dims = _check_dims(self.dims)
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
-        d = int(np.prod(dims))
+        d = math.prod(dims)
         if amps.size != d:
             raise ValidationError(
                 f"amplitude length {amps.size} != product of dims {d}")
@@ -199,7 +206,7 @@ class DensityMatrix:
     def __post_init__(self):
         dims = _check_dims(self.dims)
         mat = np.array(self.entries, dtype=complex)
-        d = int(np.prod(dims))
+        d = math.prod(dims)
         if mat.shape != (d, d):
             raise ValidationError(
                 f"matrix shape {mat.shape} != ({d}, {d}) from dims {dims}")
@@ -395,7 +402,7 @@ def haar_random_pure(dims: Sequence[int], seed: int) -> PureState:
     deterministic per seed.
     """
     dims = _check_dims(dims)
-    d = int(np.prod(dims))
+    d = math.prod(dims)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
     return PureState(dims, z / np.linalg.norm(z))
@@ -463,7 +470,7 @@ def basis_state(dims: Sequence[int], levels: Sequence[int]) -> PureState:
         if not 0 <= int(c) < d:
             raise ValidationError(f"level {c} out of range for dimension {d}")
         idx = idx * d + int(c)
-    amps = np.zeros(int(np.prod(dims)), dtype=complex)
+    amps = np.zeros(math.prod(dims), dtype=complex)
     amps[idx] = 1.0
     return PureState(dims, amps)
 

@@ -204,6 +204,24 @@ def test_random_rejects_bad_dims(capsys):
     assert ">= 2" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["random", "--dims", "4294967296,4294967296"],
+     "product of dims 18446744073709551616 exceeds"),
+    (["check-inequalities", "--dims", "65536,65536,65536,65536",
+      "--trials", "1"],
+     "product of dims 18446744073709551616 exceeds"),
+    # addressable, but no machine has the memory
+    (["random", "--dims", "100000,100000,100000"],
+     r"allocate .*1000000000000000"),
+])
+def test_impossible_dims_exit_one_naming_the_size(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert re.search(message, err), err
+    assert "Traceback" not in err
+
+
 # ------------------------------------------------------ check-inequalities
 
 def test_check_inequalities_reports_all_hold(capsys):
@@ -243,16 +261,21 @@ def test_unknown_command_exits_one(capsys):
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    # scipy is most of the start-up time; only the roof search needs it
+    # scipy is only the test reference of the roof's Nelder-Mead
     src = str(Path(trigme.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, trigme.cli; "
-         "print(trigme.cli.__file__); print('scipy' in sys.modules)"],
+         "print(trigme.cli.__file__); print('scipy' in sys.modules); "
+         "from trigme import ConvexRoofConfig, convex_roof_upper_bound, "
+         "parse_state_file; from trigme.stateio import fixture_path; "
+         "rho = parse_state_file(fixture_path('appendix_e.json')); "
+         "convex_roof_upper_bound(rho, config=ConvexRoofConfig(restarts=1)); "
+         "print('scipy' in sys.modules)"],
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == [str(Path(src) / "trigme" / "cli.py"),
-                                        "False"]
+                                        "False", "False"]
 
 
 def test_help_exits_zero(capsys):
