@@ -119,7 +119,7 @@ def finest_factorization(psi: PureState,
     misclassification.  The marginal cuts come from the same table.
     """
     n = psi.nparties
-    product, marginal = _split_cuts(psi, tol, "product_cuts")
+    product, marginal = _split_cuts(psi, tol, "finest_factorization")
     blocks = [tuple(range(1, n + 1))]
     for cut in product:
         blocks = _refine_blocks(blocks, cut.parties)

@@ -106,12 +106,15 @@ def _cmd_analyze(ns) -> int:
     notices: list[str] = []
     state = parse_state_file(ns.file, tol=tol)
     psi = _as_pure(state, tol, notices)
+    # the factorization first: it refuses oversized states before the
+    # full f_total inventory is built
+    factorization = finest_factorization(psi, tol=max(tol, DEFAULT_TOL))
     report = AnalysisReport(
         input_digest=_digest(ns.file),
         tolerance=tol,
         seed=_seed(None),
         gme=f_total(psi, _convention(ns.convention)),
-        factorization=finest_factorization(psi, tol=max(tol, DEFAULT_TOL)),
+        factorization=factorization,
         notices=tuple(notices),
     )
     sys.stdout.write(emit_report(report, ns.json))
@@ -202,7 +205,10 @@ def _cmd_random(ns) -> int:
     psi = haar_random_pure(dims, seed)
     text = render_state_document(psi, {"generator": "haar", "seed": seed})
     if ns.out:
-        Path(ns.out).write_text(text, encoding="utf-8")
+        try:
+            Path(ns.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise TrigmeError(f"{ns.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

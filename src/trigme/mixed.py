@@ -387,7 +387,9 @@ def convex_roof_upper_bound(
     for m in sizes:
         nparams = _param_count(m, r)
         for _ in range(config.restarts):
-            if best_value <= 1e-10:  # never rises, so later restarts skip too
+            # a zero incumbent never rises, and every decomposition of a
+            # rank-1 state is the state itself: no search can improve
+            if r == 1 or best_value <= 1e-10:
                 history.append(best_value)
                 continue
             rng = np.random.default_rng(seed_seq.spawn(1)[0])

@@ -134,6 +134,9 @@ def parse_state_file(path, tol: float = 1e-9) -> PureState | DensityMatrix:
         text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise ParseError(f"{p}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{p}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from exc
 
     def refuse(token: str):
         raise ParseError(f"{p}: non-finite number {token} is not allowed")

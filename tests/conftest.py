@@ -1,9 +1,9 @@
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
+from trigme.selftest import appendix_c_state
 from trigme.stateio import fixture_path
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -31,12 +31,7 @@ def fixtures_dir() -> Path:
 @pytest.fixture(scope="session")
 def appendix_c_pure():
     """Dominant eigenvector of the appendix_c fixture as a PureState."""
-    from trigme import PureState, hermitian_eig, parse_state_file
-
-    rho = parse_state_file(fixture_path("appendix_c.json"), tol=1e-3)
-    vals, vecs = hermitian_eig(rho)
-    assert vals[1] <= 1e-3
-    return PureState(rho.dims, vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
+    return appendix_c_state()
 
 
 @pytest.fixture(scope="session")

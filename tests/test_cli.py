@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 
 import trigme
-from trigme import parse_state_file
+from trigme import haar_random_pure, parse_state_file
 from trigme.cli import run_command
 from trigme.selftest import CHECKS
+from trigme.stateio import render_state_document
 
 
 def run(capsys, *argv):
@@ -153,6 +154,21 @@ def test_classify_internal_breach_exits_two(capsys, fixtures_dir):
                        "--tol", "2.0")
     assert code == 2
     assert "internal invariant breach" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_eleven_parties_are_refused_before_any_table(capsys, monkeypatch,
+                                                     tmp_path, command):
+    def f_total(*args, **kwargs):
+        raise AssertionError("f_total ran before the party cap")
+
+    monkeypatch.setattr(trigme.cli, "f_total", f_total)
+    path = tmp_path / "n11.json"
+    path.write_text(render_state_document(haar_random_pure([2] * 11, 7)))
+    code, out, err = run(capsys, command, str(path))
+    assert code == 1
+    assert out == ""
+    assert "finest_factorization is capped at 10 parties" in err
 
 
 # ----------------------------------------------------------------- random
@@ -333,6 +349,29 @@ def test_deeply_nested_document_exits_one(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert f"{path}: JSON nested too deeply" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, where, reason", [
+    (["random", "--dims", "2,2", "--out", "{tmp}/missing/x.json"],
+     "{tmp}/missing/x.json", "No such file or directory"),
+    (["random", "--dims", "2,2", "--out", "{tmp}"], "{tmp}",
+     "Is a directory"),
+    (["analyze", "{tmp}/utf16.json"], "{tmp}/utf16.json", "not UTF-8"),
+    (["classify", "{tmp}/utf16.json"], "{tmp}/utf16.json", "not UTF-8"),
+    (["witness", "{tmp}/utf16.json"], "{tmp}/utf16.json", "not UTF-8"),
+    (["convex-roof", "{tmp}/utf16.json"], "{tmp}/utf16.json", "not UTF-8"),
+])
+def test_file_boundary_errors_exit_one_naming_the_path(capsys, tmp_path,
+                                                       argv, where, reason):
+    # a UTF-16 byte-order mark (FF FE) is not valid UTF-8
+    (tmp_path / "utf16.json").write_bytes(
+        json.dumps({"dims": [2, 2], "kind": "pure"}).encode("utf-16"))
+    code, out, err = run(capsys, *[a.format(tmp=tmp_path) for a in argv])
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"trigme: error: {where.format(tmp=tmp_path)}: "
+                          f"{reason}"), err
     assert "Traceback" not in err
 
 

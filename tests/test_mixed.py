@@ -9,7 +9,7 @@ from trigme import (ConvexRoofConfig, DensityMatrix, EdgeConvention,
                     InternalInvariantError, PureState, ValidationError,
                     convex_roof_upper_bound, f_total, ghz_state, gme_value,
                     haar_random_pure, hermitian_eig, minimal_purification,
-                    partial_trace, tensor_product, witness)
+                    partial_trace, tensor_product, w_state, witness)
 from trigme.mixed import (WEIGHT_FLOOR, _ensemble, _ensemble_members,
                           _ensemble_value, _isometry, _kept_spectrum,
                           _param_count)
@@ -150,6 +150,18 @@ def test_roof_of_pure_state_is_its_value():
                                      ConvexRoofConfig(restarts=2))
     assert result.value == pytest.approx(1.0, abs=1e-9)
     assert len(result.decomposition) == 1
+
+
+def test_rank_one_roof_is_its_spectral_value_without_a_search(monkeypatch):
+    def minimize(*args, **kwargs):
+        raise AssertionError("searched a rank-1 state's decompositions")
+
+    monkeypatch.setattr(trigme.mixed, "minimize", minimize)
+    result = convex_roof_upper_bound(w_state(3).projector(), CONC,
+                                     ConvexRoofConfig(restarts=2))
+    assert result.value == result.spectral_value
+    assert result.value == pytest.approx(gme_value(w_state(3)), abs=1e-9)
+    assert result.history == (result.value,) * 7
 
 
 def test_roof_of_classical_mixture_is_zero():

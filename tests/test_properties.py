@@ -1,14 +1,18 @@
-"""Derandomized hypothesis properties: party-permutation invariance of
-the measures and bit-exact document round trips."""
+"""Derandomized hypothesis properties: party-permutation and qudit
+local-unitary invariance of the measures, and bit-exact document round
+trips."""
 
 import json
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from trigme import (DensityMatrix, EdgeConvention, PureState, f_total,
-                    gme_value, haar_random_pure, parse_state_document,
-                    partial_trace, render_state_document, tensor_product)
+from trigme import (DensityMatrix, EdgeConvention, LocalChannel, PureState,
+                    all_cut_concurrences, apply_local_channel_branches,
+                    f_total, gme_value, haar_random_pure,
+                    parse_state_document, partial_trace,
+                    render_state_document, tensor_product)
+from trigme.states import haar_random_unitary
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -48,6 +52,24 @@ def test_product_states_stay_exactly_zero_under_party_permutation(
     for state in (psi, moved):
         assert gme_value(state, conv) == 0.0
         assert f_total(state, conv).value == 0.0
+
+
+@PROPERTY
+@given(dims=st.lists(st.sampled_from([2, 3, 4]), min_size=3, max_size=5),
+       seed=st.integers(0, 2 ** 31),
+       conv=st.sampled_from(list(EdgeConvention)), data=st.data())
+def test_qudit_measures_are_invariant_under_a_local_unitary(dims, seed, conv,
+                                                            data):
+    psi = haar_random_pure(dims, seed)
+    party = data.draw(st.integers(1, len(dims)))
+    u = haar_random_unitary(dims[party - 1], np.random.default_rng(seed + 1))
+    rotated = apply_local_channel_branches(
+        psi, LocalChannel(party, (u,)))[0][1]
+    # the bound of the selftest's qubit check, local-unitary-invariance
+    t0, t1 = (all_cut_concurrences(s, len(dims) // 2).entries
+              for s in (psi, rotated))
+    assert max(abs(t0[cut] - t1[cut]) for cut in t0) <= 1e-9
+    assert abs(gme_value(rotated, conv) - gme_value(psi, conv)) <= 1e-9
 
 
 @PROPERTY
