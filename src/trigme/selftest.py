@@ -18,6 +18,7 @@ import numpy as np
 from .classify import finest_factorization
 from .concurrence import all_cut_concurrences, check_polygamy, \
     wootters_concurrence
+from .errors import TrigmeError
 from .mixed import minimal_purification, witness
 from .states import (LocalChannel, PureState, ghz_state, haar_random_pure,
                      haar_random_unitary, hermitian_eig, partial_trace,
@@ -291,7 +292,7 @@ def run_selftest(out=None) -> bool:
     for name, fn in CHECKS:
         try:
             detail = fn()
-        except AssertionError as exc:
+        except (AssertionError, TrigmeError) as exc:  # a refusal fails too
             ok = False
             print(f"FAIL {name}: {exc}", file=out)
         else:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import re
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 import trigme
-from trigme import haar_random_pure, parse_state_file
+import trigme.selftest
+from trigme import InternalInvariantError, haar_random_pure, parse_state_file
 from trigme.cli import run_command
-from trigme.selftest import CHECKS
+from trigme.selftest import CHECKS, run_selftest
 from trigme.stateio import render_state_document
 
 
@@ -430,3 +432,15 @@ def test_selftest_prints_one_pass_line_per_check(capsys):
     assert code == 0
     assert [line.split(":")[0] for line in out.splitlines()] == [
         f"PASS {name}" for name, _ in CHECKS]
+
+
+def test_selftest_reports_a_refusal_as_a_failed_check(monkeypatch):
+    def refused():
+        raise InternalInvariantError("inconsistent factorization")
+
+    monkeypatch.setattr(trigme.selftest, "CHECKS",
+                        [("refused", refused), ("next", lambda: "ran")])
+    out = io.StringIO()
+    assert run_selftest(out) is False
+    assert out.getvalue().splitlines() == [
+        "FAIL refused: inconsistent factorization", "PASS next: ran"]
