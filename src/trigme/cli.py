@@ -8,6 +8,7 @@ errors), 2 internal invariant breach.  The environment variable
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import math
 import os
@@ -22,7 +23,8 @@ from . import __version__
 from .classify import DEFAULT_TOL, finest_factorization, marginal_cuts
 from .concurrence import all_cut_concurrences, check_polygamy
 from .errors import InternalInvariantError, TrigmeError, ValidationError
-from .mixed import ConvexRoofConfig, convex_roof_upper_bound, witness
+from .mixed import (RANK_TOL, ConvexRoofConfig, convex_roof_upper_bound,
+                    witness)
 from .reporting import AnalysisReport, canonical_json, emit_report
 from .selftest import run_selftest
 from .states import PureState, haar_random_pure, hermitian_eig
@@ -122,11 +124,14 @@ def _cmd_analyze(ns) -> int:
 
 
 def _cmd_witness(ns) -> int:
-    state = parse_state_file(ns.file, tol=LOAD_TOL)
+    tol = _tolerance(ns.tol)
+    state = parse_state_file(ns.file, tol=tol)
     rho = state.projector() if isinstance(state, PureState) else state
     convs = ([EdgeConvention(ns.convention)] if ns.convention
              else list(EdgeConvention))
-    results = {conv: witness(rho, conv) for conv in convs}
+    # eigenvalues the load tolerance forgives are noise, not rank
+    rank_tol = max(tol, RANK_TOL)
+    results = {conv: witness(rho, conv, rank_tol) for conv in convs}
     first = next(iter(results.values()))
     if ns.json:
         payload = {
@@ -265,6 +270,9 @@ def build_parser() -> _Parser:
                                        "mixed state")
     p.add_argument("file")
     p.add_argument("--convention", **conv_kw)
+    p.add_argument("--tol", type=float, default=LOAD_TOL,
+                   help="load/validation tolerance; eigenvalues at or "
+                        "below it (or 1e-9) do not count toward the rank")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_witness)
 
@@ -301,8 +309,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> _Parser:
+    """The parser of every ``run_command`` in this process, built on first
+    use; parsing reads it and never changes it."""
+    return build_parser()
+
+
 def run_command(argv) -> int:
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         ns = parser.parse_args(list(argv))
     except _UsageError as exc:

@@ -6,11 +6,11 @@ digits, so identical inputs produce byte-identical reports.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import __version__
 from .classify import Factorization
+from .stateio import indented_json
 from .triangles import GmeReport
 
 __all__ = [
@@ -26,18 +26,9 @@ def fmt10(x: float) -> float:
     return float(f"{x:.10g}")
 
 
-def _jsonable(obj):
-    if isinstance(obj, float):
-        return fmt10(obj)
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
-
-
 def canonical_json(obj) -> str:
-    return json.dumps(_jsonable(obj), sort_keys=True, indent=1) + "\n"
+    """Indented JSON with sorted keys and every float value at 10 digits."""
+    return indented_json(obj, fmt10)
 
 
 def _subset_text(parties) -> str:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import trigme
+import trigme.cli
 import trigme.selftest
 from trigme import InternalInvariantError, haar_random_pure, parse_state_file
 from trigme.cli import run_command
@@ -118,6 +119,20 @@ def test_witness_pure_document_uses_bypass(capsys, fixtures_dir):
     assert code == 0
     assert "pure-state bypass" in out
     assert "witness (concurrence): 1" in out
+
+
+def test_witness_tol_reaches_the_rank_cut(capsys, fixtures_dir):
+    # appendix_e_alt loads only at a loose tolerance, and its rounding
+    # leaves eigenvalues 3.5e-7 and 1.6e-7: counted as rank they give
+    # rank 4 and a spurious GME verdict, though party 1 factors out
+    code, out, err = run(capsys, "witness",
+                         str(fixtures_dir / "appendix_e_alt.json"),
+                         "--tol", "1e-3", "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["purification_rank"] == 2
+    assert doc["witness"] == {"concurrence": 0.0, "squared": 0.0}
+    assert doc["verdict"] == "no GME detected by witness"
 
 
 # ------------------------------------------------------------ convex-roof
@@ -278,6 +293,33 @@ def test_unknown_command_exits_one(capsys):
     assert "usage:" in err
 
 
+def test_the_shared_parser_carries_no_state_between_calls(capsys, monkeypatch,
+                                                          fixtures_dir):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    build_parser = trigme.cli.build_parser
+    monkeypatch.setattr(trigme.cli, "build_parser", counting_build_parser)
+    trigme.cli._shared_parser.cache_clear()
+    ghz4 = str(fixtures_dir / "ghz4.json")
+    try:
+        code, out, err = run(capsys, "analyze", ghz4, "--frobnicate")
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: trigme")
+        code, out, _ = run(capsys, "analyze", ghz4, "--json")
+        assert code == 0 and json.loads(out)["f_total"] == 1.0
+        code, out, _ = run(capsys, "analyze", ghz4)
+        assert code == 0 and out.startswith("input:")
+        code, out, _ = run(capsys, "--version")
+        assert (code, out) == (0, f"trigme {trigme.__version__}\n")
+    finally:
+        trigme.cli._shared_parser.cache_clear()
+    assert len(built) == 1
+
+
 def test_importing_the_cli_leaves_scipy_unloaded():
     # scipy is only the test reference of the roof's Nelder-Mead
     src = str(Path(trigme.__file__).resolve().parents[1])
@@ -414,6 +456,8 @@ def test_tol_reaches_rank_one_projection(capsys, tmp_path):
      "--tol must be a positive finite number, got nan"),
     (["classify", "ghz4.json", "--tol", "0"],
      "--tol must be a positive finite number, got 0"),
+    (["witness", "appendix_e.json", "--tol", "inf"],
+     "--tol must be a positive finite number, got inf"),
 ])
 def test_out_of_range_arguments_exit_one_naming_the_value(
         capsys, fixtures_dir, argv, message):

@@ -1,10 +1,12 @@
 """Derandomized hypothesis properties: party-permutation and qudit
-local-unitary invariance of the measures, and bit-exact document round
-trips."""
+local-unitary invariance of the measures, bit-exact document round
+trips, and the indented JSON writer against the standard library's."""
 
 import json
+import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from trigme import (DensityMatrix, EdgeConvention, LocalChannel, PureState,
@@ -12,7 +14,9 @@ from trigme import (DensityMatrix, EdgeConvention, LocalChannel, PureState,
                     f_total, gme_value, haar_random_pure,
                     parse_state_document, partial_trace,
                     render_state_document, tensor_product)
+from trigme.reporting import canonical_json, fmt10
 from trigme.states import haar_random_unitary
+from trigme.stateio import indented_json
 
 PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -90,3 +94,52 @@ def test_documents_round_trip_bit_for_bit(dims, seed, rank, pure):
     else:
         assert isinstance(back, DensityMatrix)
         assert np.array_equal(back.entries, state.entries)
+
+
+FLOATS = st.one_of(st.floats(),
+                   st.sampled_from([-0.0, 5e-324, 1e308, math.nan,
+                                    math.inf, -math.inf]))
+TEXT = st.one_of(st.text(),
+                 st.sampled_from(["", "\x00\x1f\x7f", "\u00e9\u2211\U0001f600",
+                                  '"\\/\n\t', "\ud800"]))
+JSON_VALUES = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-2 ** 200, 2 ** 200),
+              FLOATS, TEXT),
+    lambda inner: st.one_of(st.lists(inner, max_size=5),
+                            st.lists(inner, max_size=5).map(tuple),
+                            st.dictionaries(TEXT, inner, max_size=5)),
+    max_leaves=30)
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=1) + "\n"
+
+
+def _rounded(value):
+    """A copy of ``value`` with every float value at 10 digits."""
+    if isinstance(value, float):
+        return fmt10(value)
+    if isinstance(value, dict):
+        return {k: _rounded(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(v) for v in value]
+    return value
+
+
+@PROPERTY
+@given(value=JSON_VALUES)
+def test_indented_json_is_json_dumps_byte_for_byte(value):
+    assert indented_json(value) == _dumps(value)
+    assert canonical_json(value) == _dumps(_rounded(value))
+
+
+def test_indented_json_raises_type_error_where_documented():
+    assert indented_json([np.float64(0.1)]) == _dumps([np.float64(0.1)])
+    for value in ([np.int64(1)], {"a": np.int64(1)}, np.int64(1)):
+        with pytest.raises(TypeError):
+            json.dumps(value)
+        with pytest.raises(TypeError, match="int64 is not JSON serializable"):
+            indented_json(value)
+    for key in ((1, 2), 1):
+        with pytest.raises(TypeError, match="keys must be str"):
+            indented_json({"a": 0, key: 0})
