@@ -23,8 +23,7 @@ from . import __version__
 from .classify import DEFAULT_TOL, finest_factorization, marginal_cuts
 from .concurrence import all_cut_concurrences, check_polygamy
 from .errors import InternalInvariantError, TrigmeError, ValidationError
-from .mixed import (RANK_TOL, ConvexRoofConfig, convex_roof_upper_bound,
-                    witness)
+from .mixed import ConvexRoofConfig, convex_roof_upper_bound, witness
 from .reporting import AnalysisReport, canonical_json, emit_report
 from .selftest import run_selftest
 from .states import PureState, haar_random_pure, hermitian_eig
@@ -129,9 +128,7 @@ def _cmd_witness(ns) -> int:
     rho = state.projector() if isinstance(state, PureState) else state
     convs = ([EdgeConvention(ns.convention)] if ns.convention
              else list(EdgeConvention))
-    # eigenvalues the load tolerance forgives are noise, not rank
-    rank_tol = max(tol, RANK_TOL)
-    results = {conv: witness(rho, conv, rank_tol) for conv in convs}
+    results = {conv: witness(rho, conv) for conv in convs}
     first = next(iter(results.values()))
     if ns.json:
         payload = {

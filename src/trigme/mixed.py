@@ -63,11 +63,9 @@ class Purification:
         return len(self.eigenvalues)
 
 
-def _kept_spectrum(rho: DensityMatrix, rank_tol: float) -> tuple:
-    """Eigenvalues above ``rank_tol`` (descending) and their eigenvectors."""
-    if not rank_tol >= 0.0:
-        raise ValidationError(
-            f"rank tolerance must be >= 0, got {rank_tol!r}")
+def _kept_spectrum(rho: DensityMatrix) -> tuple:
+    """The eigenpairs above max(rho.tol, RANK_TOL), eigenvalues descending."""
+    rank_tol = max(rho.tol, RANK_TOL)
     vals, vecs = hermitian_eig(rho, tol=rho.tol)
     r = int(np.sum(vals > rank_tol))
     if r == 0:
@@ -84,15 +82,14 @@ def _purify(rho: DensityMatrix, vals: np.ndarray,
     return Purification(state, rho.nparties + 1, tuple(vals.tolist()))
 
 
-def minimal_purification(rho: DensityMatrix,
-                         rank_tol: float = RANK_TOL) -> Purification:
-    """Spectral purification keeping eigenvalues above ``rank_tol``.
+def minimal_purification(rho: DensityMatrix) -> Purification:
+    """Spectral purification keeping eigenvalues above max(rho.tol, 1e-9).
 
     The reference dimension equals the numerical rank; amplitudes are
     ``sqrt(l_k)`` on ``|v_k>|k>`` with the reference party appended as
     party N+1.
     """
-    return _purify(rho, *_kept_spectrum(rho, rank_tol))
+    return _purify(rho, *_kept_spectrum(rho))
 
 
 @dataclass(frozen=True)
@@ -110,9 +107,10 @@ class WitnessReport:
 
 def witness(rho: DensityMatrix,
             conv: EdgeConvention = EdgeConvention.CONCURRENCE,
-            rank_tol: float = RANK_TOL) -> WitnessReport:
+            ) -> WitnessReport:
     """Purification witness: the pure measure on a minimal purification.
 
+    The rank counts the eigenvalues above ``max(rho.tol, 1e-9)``.
     Rank-1 inputs are pure states in disguise; their purification would
     carry a product reference party and always score zero, so they are
     scored directly with ``pure_state_bypass`` set.
@@ -120,7 +118,7 @@ def witness(rho: DensityMatrix,
     if rho.nparties < 3:
         raise ValidationError(
             f"witness needs at least 3 parties, got {rho.nparties}")
-    vals, vecs = _kept_spectrum(rho, rank_tol)
+    vals, vecs = _kept_spectrum(rho)
     bypass = len(vals) == 1
     if bypass:
         psi = PureState(rho.dims, vecs[:, 0] / np.linalg.norm(vecs[:, 0]),
@@ -136,17 +134,23 @@ def witness(rho: DensityMatrix,
 
 @dataclass(frozen=True)
 class Decomposition:
-    """Weighted pure-state ensemble; weights sum to 1 within 1e-9."""
+    """Weighted pure-state ensemble over one list of dims; the weights
+    sum to 1 within ``max(1e-9, largest member tol)``."""
 
     members: tuple[tuple[float, PureState], ...]
 
     def __post_init__(self):
         if not self.members:
             raise ValidationError("decomposition needs at least one member")
+        dims = self.members[0][1].dims
+        for _, psi in self.members:
+            if psi.dims != dims:
+                raise ValidationError(
+                    f"decomposition members have dims {dims} and {psi.dims}")
         total = math.fsum(p for p, _ in self.members)
         if any(p <= 0.0 for p, _ in self.members):
             raise ValidationError("decomposition weights must be positive")
-        if abs(total - 1.0) > 1e-9:
+        if abs(total - 1.0) > max(1e-9, *(s.tol for _, s in self.members)):
             raise ValidationError(
                 f"decomposition weights sum to {total!r}, not 1")
 
@@ -157,6 +161,10 @@ class Decomposition:
 def decomposition_mixture_error(rho: DensityMatrix,
                                 decomp: Decomposition) -> float:
     """Max entrywise deviation of sum_i p_i |psi_i><psi_i| from rho."""
+    dims = decomp.members[0][1].dims
+    if dims != rho.dims:
+        raise ValidationError(
+            f"decomposition dims {dims} differ from the state's {rho.dims}")
     mix = np.zeros_like(rho.entries)
     for p, psi in decomp.members:
         mix = mix + p * np.outer(psi.amplitudes, psi.amplitudes.conj())
@@ -347,21 +355,21 @@ def _ensemble_members(sub: np.ndarray, iso: np.ndarray,
 def convex_roof_upper_bound(
         rho: DensityMatrix,
         conv: EdgeConvention = EdgeConvention.CONCURRENCE,
-        config: ConvexRoofConfig | None = None,
-        rank_tol: float = RANK_TOL) -> ConvexRoofResult:
+        config: ConvexRoofConfig | None = None) -> ConvexRoofResult:
     """Upper bound on the convex roof of the GME measure.
 
     Minimizes ``sum_i p_i F(psi_i)`` over parameterized pure-state
     decompositions of ``rho`` with random restarts; the spectral
     decomposition seeds the search, so the result never exceeds the
-    spectral ensemble average.
+    spectral ensemble average.  Eigenvalues above ``max(rho.tol, 1e-9)``
+    make the rank, and the members carry that tolerance.
     """
     if rho.nparties < 3:
         raise ValidationError(
             f"convex roof needs at least 3 parties, got {rho.nparties}")
     config = config or ConvexRoofConfig()
 
-    vals, vecs = _kept_spectrum(rho, rank_tol)
+    vals, vecs = _kept_spectrum(rho)
     r = len(vals)
     sub = vecs * np.sqrt(vals)  # column k = sqrt(l_k)|v_k>
     state_tol = max(rho.tol, 1e-9)

@@ -116,6 +116,14 @@ def _check_finite(values: np.ndarray, what: str) -> None:
             f"{what} {where} is not finite: {complex(values[idx])!r}")
 
 
+def _check_tol(tol: float) -> None:
+    """Refuse a NaN, infinite or negative tolerance: NaN turns every
+    check off, and a negative one fails exact input."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(
+            f"tolerance {tol!r} is not a finite number >= 0")
+
+
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
     out = tuple(int(d) for d in dims)
     if not out:
@@ -144,7 +152,7 @@ class PureState:
     amplitudes : array_like
         Complex vector of length ``prod(dims)``, row-major in party order.
     tol : float
-        Norm validation tolerance (defaults to 1e-9).
+        Norm validation tolerance (defaults to 1e-9); finite and >= 0.
     """
 
     dims: tuple[int, ...]
@@ -152,6 +160,7 @@ class PureState:
     tol: float = field(default=NORM_TOL, repr=False)
 
     def __post_init__(self):
+        _check_tol(self.tol)
         dims = _check_dims(self.dims)
         amps = np.array(self.amplitudes, dtype=complex).reshape(-1)
         d = math.prod(dims)
@@ -196,7 +205,8 @@ class DensityMatrix:
     The validation tolerance is carried on the instance so that objects
     derived from loosely validated inputs (such as rounded published
     fixtures loaded with ``tol=1e-3``) propagate their tolerance to
-    their own marginals.
+    their own marginals and to the mixed-state rank cut.  It must be
+    finite and >= 0.
     """
 
     dims: tuple[int, ...]
@@ -204,6 +214,7 @@ class DensityMatrix:
     tol: float = field(default=NORM_TOL, repr=False)
 
     def __post_init__(self):
+        _check_tol(self.tol)
         dims = _check_dims(self.dims)
         mat = np.array(self.entries, dtype=complex)
         d = math.prod(dims)
@@ -385,8 +396,15 @@ def hermitian_eig(rho: DensityMatrix | np.ndarray,
         ``eigenvalues`` is a real descending vector; column k of
         ``eigenvectors`` is the eigenvector for ``eigenvalues[k]``.
         Degenerate subspaces may return any orthonormal completion.
+
+    A raw array with a NaN or infinite entry is refused; a DensityMatrix
+    checked its entries when it was built.
     """
-    mat = rho.entries if isinstance(rho, DensityMatrix) else np.asarray(rho)
+    if isinstance(rho, DensityMatrix):
+        mat = rho.entries
+    else:
+        mat = np.asarray(rho)
+        _check_finite(mat, "matrix entry")
     herm = float(np.max(np.abs(mat - mat.conj().T)))
     if herm > tol:
         raise ValidationError(

@@ -31,7 +31,7 @@ def assert_matches_scipy(fun, x0, max_iterations):
 
 
 def roof_objective(rho, m: int, conv: EdgeConvention):
-    vals, vecs = _kept_spectrum(rho, 1e-9)
+    vals, vecs = _kept_spectrum(rho)
     r = len(vals)
     sub = vecs * np.sqrt(vals)
     tol = max(rho.tol, 1e-9)
@@ -48,7 +48,7 @@ def roof_objective(rho, m: int, conv: EdgeConvention):
 def test_roof_searches_match_scipy(label, conv):
     make_rho, _, seed = ROOF_CASES[label]
     rho = make_rho()
-    r = len(_kept_spectrum(rho, 1e-9)[0])
+    r = len(_kept_spectrum(rho)[0])
     for m in range(r, r + 3):
         fun, nparams = roof_objective(rho, m, conv)
         x0 = np.random.default_rng(seed + m).uniform(0.0, 2.0 * math.pi,

@@ -5,15 +5,18 @@ import pytest
 
 import trigme.mixed
 import trigme.triangles
-from trigme import (ConvexRoofConfig, DensityMatrix, EdgeConvention,
-                    InternalInvariantError, PureState, ValidationError,
-                    convex_roof_upper_bound, f_total, ghz_state, gme_value,
-                    haar_random_pure, hermitian_eig, minimal_purification,
-                    partial_trace, tensor_product, w_state, witness)
+from trigme import (ConvexRoofConfig, Decomposition, DensityMatrix,
+                    EdgeConvention, InternalInvariantError, PureState,
+                    ValidationError, convex_roof_upper_bound,
+                    decomposition_mixture_error, f_total, ghz_state,
+                    gme_value, haar_random_pure, hermitian_eig,
+                    minimal_purification, parse_state_file, partial_trace,
+                    tensor_product, w_state, witness)
 from trigme.mixed import (WEIGHT_FLOOR, _ensemble, _ensemble_members,
                           _ensemble_value, _isometry, _kept_spectrum,
                           _param_count)
 from trigme.states import _check_rows
+from trigme.stateio import fixture_path
 from oracles import GHZ_MIX_ROOF_REFERENCE, ghz_000_mixture
 
 CONC = EdgeConvention.CONCURRENCE
@@ -28,6 +31,12 @@ def classical_mixture() -> DensityMatrix:
     mat = np.zeros((8, 8))
     mat[0, 0] = mat[7, 7] = 0.5
     return DensityMatrix((2, 2, 2), mat)
+
+
+def appendix_e_alt_rho() -> DensityMatrix:
+    """The rounded fixture at the load tolerance it needs; its rounding
+    leaves eigenvalues 3.5e-7 and 1.6e-7 beside the rank-2 spectrum."""
+    return parse_state_file(fixture_path("appendix_e_alt.json"), tol=1e-3)
 
 
 # ------------------------------------------------- minimal_purification
@@ -73,9 +82,9 @@ def test_purification_of_appendix_e_matches_spectral_form(appendix_e_rho):
 
 
 def test_purification_needs_positive_rank():
-    rho = DensityMatrix((2,), np.diag([0.5, 0.5]))
-    with pytest.raises(ValidationError, match="below rank tolerance"):
-        minimal_purification(rho, rank_tol=0.9)
+    rho = DensityMatrix((2,), np.diag([0.5, 0.5]), tol=0.9)
+    with pytest.raises(ValidationError, match="below rank tolerance 0.9"):
+        minimal_purification(rho)
 
 
 # --------------------------------------------------------------- witness
@@ -136,6 +145,16 @@ def test_rank_one_witness_decomposes_rho_once(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("conv", [CONC, SQ])
+def test_witness_cuts_the_rank_at_the_state_tolerance(conv):
+    # at a 1e-9 cut the two rounding eigenvalues would count: rank 4 and
+    # a spurious 0.0322
+    rep = witness(appendix_e_alt_rho(), conv)
+    assert rep.purification_rank == 2
+    assert rep.value == 0.0
+    assert rep.verdict == "no GME detected by witness"
+
+
 def test_witness_needs_three_parties():
     rho = DensityMatrix((2, 2), np.eye(4) / 4)
     with pytest.raises(ValidationError):
@@ -192,20 +211,58 @@ def test_roof_finds_zero_for_mixture_of_biseparable_states():
     assert result.value <= 1e-6
 
 
+def test_roof_of_a_loosely_loaded_state_scores_its_kept_spectrum():
+    # the kept eigenvalues carry the trace defect the 1e-3 load forgave,
+    # so their sum misses 1 by 1.9e-7: more than 1e-9, less than 1e-3
+    rho = appendix_e_alt_rho()
+    result = convex_roof_upper_bound(
+        rho, CONC, ConvexRoofConfig(restarts=1, max_iterations=100))
+    assert len(result.decomposition) == 2
+    assert result.value <= result.spectral_value
+    assert result.value == pytest.approx(0.0, abs=1e-9)
+    assert decomposition_mixture_error(rho, result.decomposition) <= 3e-3
+
+
 @pytest.mark.parametrize("measure", [witness, convex_roof_upper_bound])
 def test_rank_tolerance_above_every_eigenvalue_is_refused(measure):
-    rho = DensityMatrix((2, 2, 2), np.eye(8) / 8)
+    rho = DensityMatrix((2, 2, 2), np.eye(8) / 8, tol=0.5)
     with pytest.raises(ValidationError, match="below rank tolerance 0.5"):
-        measure(rho, rank_tol=0.5)
+        measure(rho)
 
 
 @pytest.mark.parametrize("measure", [minimal_purification, witness,
                                      convex_roof_upper_bound])
 def test_negative_rank_tolerance_is_refused(measure):
+    # the rank cut is the state's own tolerance, so a negative one is
+    # refused where the state is built, before any measure can use it
     rho = partial_trace(haar_random_pure([2] * 4, 5), (1, 2, 3))
     with pytest.raises(ValidationError,
-                       match="rank tolerance must be >= 0, got -1"):
-        measure(rho, rank_tol=-1)
+                       match="tolerance -1 is not a finite number >= 0"):
+        measure(DensityMatrix(rho.dims, rho.entries, tol=-1))
+
+
+def test_decomposition_weight_sum_scales_with_its_member_tolerance():
+    def members(tol):
+        ket0 = PureState((2, 2, 2), np.eye(8)[0], tol=tol)
+        return ((0.75 + 5e-7, ket0), (0.25, ghz_state(3)))
+
+    with pytest.raises(ValidationError, match="weights sum to 1.0000005"):
+        Decomposition(members(1e-9))
+    assert len(Decomposition(members(1e-6))) == 2
+
+
+def test_decomposition_refuses_members_of_different_dims():
+    with pytest.raises(ValidationError,
+                       match=r"dims \(2, 2, 2\) and \(2, 2, 2, 2\)"):
+        Decomposition(((0.5, ghz_state(3)), (0.5, ghz_state(4))))
+
+
+def test_mixture_error_refuses_a_decomposition_of_other_dims():
+    decomp = Decomposition(((1.0, ghz_state(4)),))
+    with pytest.raises(ValidationError,
+                       match=r"dims \(2, 2, 2, 2\) differ from the "
+                             r"state's \(2, 2, 2\)"):
+        decomposition_mixture_error(ghz_000_rho(), decomp)
 
 
 def test_roof_rejects_undersized_ensembles():
@@ -239,7 +296,7 @@ def member_by_member(sub, iso, dims, conv) -> float:
 
 
 def spectral_factor(rho):
-    vals, vecs = _kept_spectrum(rho, 1e-9)
+    vals, vecs = _kept_spectrum(rho)
     return vecs * np.sqrt(vals), len(vals)
 
 

@@ -220,6 +220,18 @@ def test_hermitian_eig_rejects_non_hermitian_array():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("mat, where", [
+    (np.array([[0.5, 0.0], [math.nan, 0.5]]), r"\(1, 0\)"),
+    (np.array([[0.5, 0.0], [math.inf, 0.5]]), r"\(1, 0\)"),
+    # NaN compares False, so it slips past the Hermiticity bound
+    (np.full((2, 2), math.nan), r"\(0, 0\)"),
+], ids=["nan", "inf", "all-nan"])
+def test_hermitian_eig_rejects_non_finite_array(mat, where):
+    with pytest.raises(ValidationError,
+                       match=rf"matrix entry {where} is not finite"):
+        hermitian_eig(mat)
+
+
 # --------------------------------------------------- haar_random_pure
 
 def test_haar_random_pure_is_deterministic_per_seed():
@@ -351,3 +363,27 @@ def test_local_channel_rejects_non_finite_kraus_operators():
 def test_ghz_state_rejects_local_dimension_one():
     with pytest.raises(ValidationError, match="dimension 1"):
         ghz_state(3, dim=1)
+
+
+# ------------------------------------------------------------ tolerances
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1.0])
+@pytest.mark.parametrize("make", [
+    lambda tol: PureState((2, 2, 2), np.arange(8.0), tol=tol),
+    lambda tol: PureState((2,), np.array([1.0, 0.0]), tol=tol),
+    lambda tol: DensityMatrix((2,), np.diag([2.0, -1.0]), tol=tol),
+    lambda tol: DensityMatrix((2,), np.eye(2) / 2.0, tol=tol),
+], ids=["pure-norm-11.8", "pure-valid", "mixed-eigenvalue-minus-1",
+        "mixed-valid"])
+def test_invalid_state_tolerance_is_refused(make, bad):
+    # NaN would turn every check off, and a negative tolerance would
+    # fail valid input as non-Hermitian
+    with pytest.raises(ValidationError,
+                       match=rf"tolerance {bad!r} is not a finite "
+                             rf"number >= 0"):
+        make(bad)
+
+
+def test_zero_state_tolerance_is_accepted():
+    assert PureState((2,), np.array([1.0, 0.0]), tol=0.0).tol == 0.0
+    assert DensityMatrix((2,), np.diag([1.0, 0.0]), tol=0.0).tol == 0.0
