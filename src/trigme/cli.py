@@ -15,18 +15,17 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 # all_cut_concurrences and marginal_cuts are unused here; the benchmark
 # (perfbench/tracing.py) wraps them by name as attributes of this module.
 from .classify import DEFAULT_TOL, finest_factorization, marginal_cuts
 from .concurrence import all_cut_concurrences, check_polygamy
 from .errors import InternalInvariantError, TrigmeError, ValidationError
-from .mixed import ConvexRoofConfig, convex_roof_upper_bound, witness
+from .mixed import ConvexRoofConfig, _spectrum, convex_roof_upper_bound, \
+    witness
 from .reporting import AnalysisReport, canonical_json, emit_report
 from .selftest import run_selftest
-from .states import PureState, haar_random_pure, hermitian_eig
+from .states import PureState, haar_random_pure
 from .stateio import parse_state_file, render_state_document
 from .triangles import EdgeConvention, f_total
 
@@ -86,27 +85,26 @@ def _parse_dims(text: str) -> list[int]:
     return dims
 
 
-def _as_pure(state, tol: float, notices: list[str]) -> PureState:
+def _as_pure(state, notices: list[str]) -> PureState:
     """Pass through pure states; project rank-1 mixed inputs."""
     if isinstance(state, PureState):
         return state
-    vals, vecs = hermitian_eig(state, tol=tol)
-    if vals[1] > tol:
+    spec = _spectrum(state)
+    if spec.pure is None:
         raise ValidationError(
-            f"input is mixed with second eigenvalue {vals[1]:.3e} > "
-            f"tolerance {tol:g}; use the witness or convex-roof commands")
+            f"input is mixed with second eigenvalue {spec.values[1]:.3e} > "
+            f"tolerance {spec.cut:g}; use the witness or convex-roof commands")
     notices.append(
         f"rank-1 mixed input projected to its dominant eigenvector "
-        f"(second eigenvalue {vals[1]:.3e})")
-    return PureState(state.dims, vecs[:, 0] / np.linalg.norm(vecs[:, 0]),
-                     tol=max(state.tol, 1e-9))
+        f"(second eigenvalue {spec.values[1]:.3e})")
+    return spec.pure
 
 
 def _cmd_analyze(ns) -> int:
     tol = _tolerance(ns.tol)
     notices: list[str] = []
     state = parse_state_file(ns.file, tol=tol)
-    psi = _as_pure(state, tol, notices)
+    psi = _as_pure(state, notices)
     # the factorization first: it refuses oversized states before the
     # full f_total inventory is built
     factorization = finest_factorization(psi, tol=max(tol, DEFAULT_TOL))
@@ -187,7 +185,7 @@ def _cmd_classify(ns) -> int:
     tol = _tolerance(ns.tol)
     notices: list[str] = []
     state = parse_state_file(ns.file, tol=tol)
-    psi = _as_pure(state, tol, notices)
+    psi = _as_pure(state, notices)
     fact = finest_factorization(psi, tol=max(tol, DEFAULT_TOL))
     factors = ",".join("{" + ",".join(str(p) for p in f) + "}"
                        for f in fact.factors)

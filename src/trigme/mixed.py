@@ -63,22 +63,28 @@ class Purification:
         return len(self.eigenvalues)
 
 
-def _kept_spectrum(rho: DensityMatrix) -> tuple:
-    """The eigenpairs above max(rho.tol, RANK_TOL), eigenvalues descending."""
-    rank_tol = max(rho.tol, RANK_TOL)
-    vals, vecs = hermitian_eig(rho, tol=rho.tol)
-    r = int(np.sum(vals > rank_tol))
-    if r == 0:
-        raise ValidationError(
-            f"all eigenvalues below rank tolerance {rank_tol!r}")
-    return vals[:r], vecs[:, :r]
+# Every eigenpair, eigenvalues descending; the rank counts those above
+# ``cut``, and ``pure`` is the state itself at rank 1, else None.
+Spectrum = namedtuple("Spectrum", "values vectors rank cut pure")
 
 
-def _purify(rho: DensityMatrix, vals: np.ndarray,
-            vecs: np.ndarray) -> Purification:
+def _spectrum(rho: DensityMatrix) -> Spectrum:
+    """The rank rule: the eigenvalues above max(rho.tol, RANK_TOL) count."""
+    cut = max(rho.tol, RANK_TOL)
+    vals, vecs = hermitian_eig(rho)
+    rank = int(np.sum(vals > cut))
+    if rank == 0:
+        raise ValidationError(f"all eigenvalues below rank tolerance {cut!r}")
+    pure = None if rank > 1 else PureState(
+        rho.dims, vecs[:, 0] / np.linalg.norm(vecs[:, 0]), tol=cut)
+    return Spectrum(vals, vecs, rank, cut, pure)
+
+
+def _purify(rho: DensityMatrix, spec: Spectrum) -> Purification:
+    vals, vecs = spec.values[:spec.rank], spec.vectors[:, :spec.rank]
     amps = (vecs * np.sqrt(vals)).reshape(-1)
-    state = PureState(rho.dims + (len(vals),), amps / np.linalg.norm(amps),
-                      tol=max(rho.tol, 1e-9))
+    state = PureState(rho.dims + (spec.rank,), amps / np.linalg.norm(amps),
+                      tol=spec.cut)
     return Purification(state, rho.nparties + 1, tuple(vals.tolist()))
 
 
@@ -89,7 +95,7 @@ def minimal_purification(rho: DensityMatrix) -> Purification:
     ``sqrt(l_k)`` on ``|v_k>|k>`` with the reference party appended as
     party N+1.
     """
-    return _purify(rho, *_kept_spectrum(rho))
+    return _purify(rho, _spectrum(rho))
 
 
 @dataclass(frozen=True)
@@ -118,17 +124,13 @@ def witness(rho: DensityMatrix,
     if rho.nparties < 3:
         raise ValidationError(
             f"witness needs at least 3 parties, got {rho.nparties}")
-    vals, vecs = _kept_spectrum(rho)
-    bypass = len(vals) == 1
-    if bypass:
-        psi = PureState(rho.dims, vecs[:, 0] / np.linalg.norm(vecs[:, 0]),
-                        tol=max(rho.tol, 1e-9))
-    else:
-        psi = _purify(rho, vals, vecs).state
+    spec = _spectrum(rho)
+    bypass = spec.pure is not None
+    psi = spec.pure if bypass else _purify(rho, spec).state
     report = f_total(psi, conv)
     detected = report.value > ZERO_AREA_TOL
     verdict = "GME detected" if detected else "no GME detected by witness"
-    return WitnessReport(report.value, conv, len(vals), bypass, detected,
+    return WitnessReport(report.value, conv, spec.rank, bypass, detected,
                          verdict, report)
 
 
@@ -150,7 +152,7 @@ class Decomposition:
         total = math.fsum(p for p, _ in self.members)
         if any(p <= 0.0 for p, _ in self.members):
             raise ValidationError("decomposition weights must be positive")
-        if abs(total - 1.0) > max(1e-9, *(s.tol for _, s in self.members)):
+        if abs(total - 1.0) > max(RANK_TOL, *(s.tol for _, s in self.members)):
             raise ValidationError(
                 f"decomposition weights sum to {total!r}, not 1")
 
@@ -369,10 +371,9 @@ def convex_roof_upper_bound(
             f"convex roof needs at least 3 parties, got {rho.nparties}")
     config = config or ConvexRoofConfig()
 
-    vals, vecs = _kept_spectrum(rho)
-    r = len(vals)
-    sub = vecs * np.sqrt(vals)  # column k = sqrt(l_k)|v_k>
-    state_tol = max(rho.tol, 1e-9)
+    spec = _spectrum(rho)
+    r = spec.rank
+    sub = spec.vectors[:, :r] * np.sqrt(spec.values[:r])  # sqrt(l_k)|v_k>
 
     sizes = config.ensemble_sizes or tuple(range(r, r + 3))
     for m in sizes:
@@ -383,7 +384,7 @@ def convex_roof_upper_bound(
     def objective(params: np.ndarray) -> float:
         # m is the ensemble size of the enclosing scope, set before each use
         return _ensemble_value(sub, _isometry(m, r, params), rho.dims,
-                               state_tol, conv)
+                               spec.cut, conv)
 
     # Spectral baseline: all-zero parameters at m = r, the identity.
     m = r
@@ -412,7 +413,7 @@ def convex_roof_upper_bound(
 
     m_best, params_best = best
     members = _ensemble_members(sub, _isometry(m_best, r, params_best),
-                                rho.dims, state_tol)
+                                rho.dims, spec.cut)
     decomp = Decomposition(tuple(members))
     err = decomposition_mixture_error(rho, decomp)
     if err > max(MIXTURE_TOL, 3.0 * rho.tol):

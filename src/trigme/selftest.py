@@ -19,7 +19,7 @@ from .classify import finest_factorization
 from .concurrence import all_cut_concurrences, check_polygamy, \
     wootters_concurrence
 from .errors import TrigmeError
-from .mixed import minimal_purification, witness
+from .mixed import _spectrum, minimal_purification, witness
 from .states import (LocalChannel, PureState, ghz_state, haar_random_pure,
                      haar_random_unitary, hermitian_eig, partial_trace,
                      random_local_channel, tensor_product,
@@ -83,12 +83,12 @@ def check_golden_pure() -> str:
 
 
 def appendix_c_state() -> PureState:
-    """The appendix_c fixture projected to its dominant eigenvector."""
+    """The appendix_c fixture, rank 1 at tolerance 1e-3, as a pure state."""
     rho = parse_state_file(fixture_path("appendix_c.json"), tol=1e-3)
-    vals, vecs = hermitian_eig(rho)
-    if vals[1] > 1e-3:
-        raise AssertionError(f"appendix_c second eigenvalue {vals[1]:.2e}")
-    return PureState(rho.dims, vecs[:, 0] / np.linalg.norm(vecs[:, 0]))
+    spec = _spectrum(rho)
+    if spec.pure is None:
+        raise AssertionError(f"appendix_c eigenvalue 2 = {spec.values[1]:.2e}")
+    return spec.pure
 
 
 def check_appendix_c() -> str:

@@ -386,8 +386,8 @@ def linear_entropy(rho: DensityMatrix) -> float:
     return 1.0 - purity(rho)
 
 
-def hermitian_eig(rho: DensityMatrix | np.ndarray,
-                  tol: float = NORM_TOL) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(rho: DensityMatrix | np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, eigenvalues descending.
 
     Returns
@@ -397,18 +397,18 @@ def hermitian_eig(rho: DensityMatrix | np.ndarray,
         ``eigenvectors`` is the eigenvector for ``eigenvalues[k]``.
         Degenerate subspaces may return any orthonormal completion.
 
-    A raw array with a NaN or infinite entry is refused; a DensityMatrix
-    checked its entries when it was built.
+    A raw array with a NaN or infinite entry, or not Hermitian within
+    NORM_TOL, is refused; a DensityMatrix checked both when it was built.
     """
     if isinstance(rho, DensityMatrix):
         mat = rho.entries
     else:
         mat = np.asarray(rho)
         _check_finite(mat, "matrix entry")
-    herm = float(np.max(np.abs(mat - mat.conj().T)))
-    if herm > tol:
-        raise ValidationError(
-            f"matrix is not Hermitian: max |M - M^H| = {herm!r}")
+        herm = float(np.max(np.abs(mat - mat.conj().T)))
+        if herm > NORM_TOL:
+            raise ValidationError(
+                f"matrix is not Hermitian: max |M - M^H| = {herm!r}")
     vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
     return vals[::-1].copy(), vecs[:, ::-1].copy()
 

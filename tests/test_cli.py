@@ -441,6 +441,49 @@ def test_tol_reaches_rank_one_projection(capsys, tmp_path):
     assert "factors: {1,2,3}" in out
 
 
+def ghz3_with_second_eigenvalue(tmp_path, second: float) -> Path:
+    """A GHZ_3 density document with weight ``second`` moved to |001>."""
+    ghz = np.zeros(8)
+    ghz[0] = ghz[7] = 1.0 / np.sqrt(2.0)
+    rho = (1.0 - second) * np.outer(ghz, ghz)
+    rho[1, 1] += second
+    path = tmp_path / f"ghz3-{second!r}.json"
+    path.write_text(json.dumps({
+        "dims": [2, 2, 2], "kind": "mixed",
+        "data": [[[float(x), 0.0] for x in row] for row in rho]}))
+    return path
+
+
+def test_rank_one_below_the_one_rank_tolerance_is_projected(capsys,
+                                                            tmp_path):
+    # a second eigenvalue of 5e-10 is under the 1e-9 floor of the rank
+    # cut, so analyze projects what witness scores at rank 1
+    path = ghz3_with_second_eigenvalue(tmp_path, 5e-10)
+    code, out, err = run(capsys, "analyze", str(path), "--tol", "1e-10",
+                         "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["notices"] == ["rank-1 mixed input projected to its dominant "
+                              "eigenvector (second eigenvalue 5.000e-10)"]
+    assert doc["f_total"] == pytest.approx(1.0, abs=1e-9)
+    code, out, err = run(capsys, "witness", str(path), "--tol", "1e-10",
+                         "--json")
+    assert code == 0, err
+    assert json.loads(out)["pure_state_bypass"] is True
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_mixed_refusal_names_the_threshold_it_applied(capsys, tmp_path,
+                                                      command):
+    path = ghz3_with_second_eigenvalue(tmp_path, 2e-9)
+    code, out, err = run(capsys, command, str(path), "--tol", "1e-10")
+    assert code == 1
+    assert out == ""
+    assert err == ("trigme: error: input is mixed with second eigenvalue "
+                   "2.000e-09 > tolerance 1e-09; use the witness or "
+                   "convex-roof commands\n")
+
+
 @pytest.mark.parametrize("argv, message", [
     (["convex-roof", "appendix_e.json", "--restarts", "-1"],
      "restarts must be >= 0, got -1"),

@@ -12,7 +12,7 @@ import pytest
 
 from trigme import EdgeConvention
 from trigme.mixed import (FATOL, XATOL, _ensemble_value, _isometry,
-                          _kept_spectrum, _param_count, minimize)
+                          _param_count, _spectrum, minimize)
 from test_golden import ROOF_CASES
 
 scipy_optimize = pytest.importorskip("scipy.optimize")
@@ -31,10 +31,10 @@ def assert_matches_scipy(fun, x0, max_iterations):
 
 
 def roof_objective(rho, m: int, conv: EdgeConvention):
-    vals, vecs = _kept_spectrum(rho)
-    r = len(vals)
-    sub = vecs * np.sqrt(vals)
-    tol = max(rho.tol, 1e-9)
+    spec = _spectrum(rho)
+    r = spec.rank
+    sub = spec.vectors[:, :r] * np.sqrt(spec.values[:r])
+    tol = spec.cut
 
     def objective(params):
         return _ensemble_value(sub, _isometry(m, r, params), rho.dims, tol,
@@ -48,7 +48,7 @@ def roof_objective(rho, m: int, conv: EdgeConvention):
 def test_roof_searches_match_scipy(label, conv):
     make_rho, _, seed = ROOF_CASES[label]
     rho = make_rho()
-    r = len(_kept_spectrum(rho)[0])
+    r = _spectrum(rho).rank
     for m in range(r, r + 3):
         fun, nparams = roof_objective(rho, m, conv)
         x0 = np.random.default_rng(seed + m).uniform(0.0, 2.0 * math.pi,

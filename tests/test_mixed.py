@@ -13,8 +13,8 @@ from trigme import (ConvexRoofConfig, Decomposition, DensityMatrix,
                     minimal_purification, parse_state_file, partial_trace,
                     tensor_product, w_state, witness)
 from trigme.mixed import (WEIGHT_FLOOR, _ensemble, _ensemble_members,
-                          _ensemble_value, _isometry, _kept_spectrum,
-                          _param_count)
+                          _ensemble_value, _isometry, _param_count,
+                          _spectrum)
 from trigme.states import _check_rows
 from trigme.stateio import fixture_path
 from oracles import GHZ_MIX_ROOF_REFERENCE, ghz_000_mixture
@@ -296,8 +296,9 @@ def member_by_member(sub, iso, dims, conv) -> float:
 
 
 def spectral_factor(rho):
-    vals, vecs = _kept_spectrum(rho)
-    return vecs * np.sqrt(vals), len(vals)
+    spec = _spectrum(rho)
+    r = spec.rank
+    return spec.vectors[:, :r] * np.sqrt(spec.values[:r]), r
 
 
 def assert_batched_equals_member_by_member(rho, isometries):

@@ -220,6 +220,18 @@ def test_hermitian_eig_rejects_non_hermitian_array():
         hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_eig_takes_no_tolerance():
+    # the Hermiticity bound of a raw array is NORM_TOL, and a
+    # DensityMatrix was checked at its own tolerance when it was built
+    with pytest.raises(TypeError):
+        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]), tol=math.nan)
+    with pytest.raises(ValidationError, match="Hermitian"):
+        hermitian_eig(np.array([[0.5, 2e-9], [0.0, 0.5]]))
+    loose = DensityMatrix((2,), [[0.5, 1e-4], [0.0, 0.5]], tol=1e-3)
+    np.testing.assert_allclose(hermitian_eig(loose)[0], [0.5 + 5e-5,
+                                                         0.5 - 5e-5])
+
+
 @pytest.mark.parametrize("mat, where", [
     (np.array([[0.5, 0.0], [math.nan, 0.5]]), r"\(1, 0\)"),
     (np.array([[0.5, 0.0], [math.inf, 0.5]]), r"\(1, 0\)"),
