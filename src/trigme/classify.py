@@ -19,6 +19,7 @@ from .concurrence import all_cut_concurrences
 DEFAULT_TOL = 1e-6
 MARGINAL_FACTOR = 10.0
 MAX_PARTIES = 10
+RECON_CLIP = 1e-2  # the loosest reconstruction check
 
 __all__ = [
     "Factorization",
@@ -116,7 +117,10 @@ def finest_factorization(psi: PureState,
     checking that the tensor product of the factor marginals equals
     |psi><psi| within ``tol`` clipped to [1e-6, 1e-2].  The upper clip
     keeps an absurdly loose cut threshold from hiding its own
-    misclassification.  The marginal cuts come from the same table.
+    misclassification: above it a failed reconstruction is the caller's
+    threshold at fault and is refused with ValidationError, at or below
+    it a failure is an InternalInvariantError.  The marginal cuts come
+    from the same table.
     """
     n = psi.nparties
     product, marginal = _split_cuts(psi, tol, "finest_factorization")
@@ -125,9 +129,10 @@ def finest_factorization(psi: PureState,
         blocks = _refine_blocks(blocks, cut.parties)
 
     err = _reconstruction_error(psi, blocks)
-    recon_tol = max(1e-6, min(tol, 1e-2))
+    recon_tol = max(1e-6, min(tol, RECON_CLIP))
     if err > recon_tol:
-        raise InternalInvariantError(
+        error = ValidationError if tol > RECON_CLIP else InternalInvariantError
+        raise error(
             f"inconsistent factorization: reconstruction error {err!r} "
             f"exceeds {recon_tol!r} for factors {tuple(blocks)}; the cut "
             f"threshold {tol!r} is likely too loose for this state")

@@ -4,10 +4,11 @@ The witness evaluates the pure-state measure on a minimal purification,
 treating the reference system as party N+1.  The value is invariant
 under unitaries on the reference system and under zero-padding of its
 dimension, and a value of zero certifies the absence of GME.  A
-positive value does not certify GME (classical mixtures of product
-states can purify to GHZ-like states), and a rank-1 input degenerates
-(its purification has a product reference party), so rank-1 states
-bypass the construction and are scored directly.
+positive value alone does not certify GME (classical mixtures of
+product states can purify to GHZ-like states), so above rank 1 GME is
+reported only with a fidelity-witness certificate.  A rank-1 input
+degenerates (its purification has a product reference party), so
+rank-1 states bypass the construction and are scored directly.
 
 The convex-roof estimator parameterizes size-m decompositions by m x r
 matrices with orthonormal columns acting on the spectral ensemble;
@@ -26,8 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .concurrence import _cut_plan, _smaller_side
 from .errors import InternalInvariantError, ValidationError
-from .states import DensityMatrix, PureState, _check_rows, hermitian_eig
+from .states import DensityMatrix, PureState, _check_rows, _pure_marginal, \
+    hermitian_eig
 # gme_value is unused here; the benchmark (perfbench/tracing.py) wraps it
 # by name as an attribute of this module.
 from .triangles import EdgeConvention, GmeReport, ZERO_AREA_TOL, \
@@ -36,6 +39,7 @@ from .triangles import EdgeConvention, GmeReport, ZERO_AREA_TOL, \
 RANK_TOL = 1e-9
 WEIGHT_FLOOR = 1e-12
 MIXTURE_TOL = 1e-7
+INCONCLUSIVE = "inconclusive: witness positive, no GME certificate"
 
 __all__ = [
     "Purification",
@@ -120,6 +124,10 @@ def witness(rho: DensityMatrix,
     Rank-1 inputs are pure states in disguise; their purification would
     carry a product reference party and always score zero, so they are
     scored directly with ``pure_state_bypass`` set.
+
+    A value at most ``ZERO_AREA_TOL`` reports no GME.  A positive value
+    reports GME at rank 1, where it is exact, and above rank 1 only when
+    ``_certified`` holds; otherwise the verdict is inconclusive.
     """
     if rho.nparties < 3:
         raise ValidationError(
@@ -128,10 +136,32 @@ def witness(rho: DensityMatrix,
     bypass = spec.pure is not None
     psi = spec.pure if bypass else _purify(rho, spec).state
     report = f_total(psi, conv)
-    detected = report.value > ZERO_AREA_TOL
-    verdict = "GME detected" if detected else "no GME detected by witness"
+    if report.value <= ZERO_AREA_TOL:
+        detected, verdict = False, "no GME detected by witness"
+    elif bypass or _certified(rho, spec):
+        detected, verdict = True, "GME detected"
+    else:
+        detected, verdict = False, INCONCLUSIVE
     return WitnessReport(report.value, conv, spec.rank, bypass, detected,
                          verdict, report)
+
+
+def _certified(rho: DensityMatrix, spec: Spectrum) -> bool:
+    """Whether the fidelity witness ``alpha * 1 - |psi><psi|`` on the
+    dominant eigenvector psi proves rho GME (Bourennane et al., PRL 92,
+    087902 (2004); Guhne and Toth, Phys. Rep. 474, 1 (2009)).
+
+    alpha, psi's largest squared Schmidt coefficient over every cut,
+    bounds the fidelity of every biseparable state with psi.  rho's
+    fidelity ``values[0]`` must exceed it by more than ``cut``, the
+    eigenvalue error both sides carry.
+    """
+    psi, dims = spec.vectors[:, 0], rho.dims
+    alpha = max(
+        np.linalg.eigvalsh(_pure_marginal(
+            psi, dims, _smaller_side(dims, [p - 1 for p in cut.parties])))[-1]
+        for cut in _cut_plan(len(dims)).cuts)
+    return spec.values[0] - alpha > spec.cut
 
 
 @dataclass(frozen=True)

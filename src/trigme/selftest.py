@@ -4,8 +4,9 @@ Each check prints one PASS/FAIL line.  The campaign covers the paper's
 GHZ/W values, the appendix C classification and its traced witness,
 the appendix E witness, the polygamy-inequality suites, LOCC-branch and
 edge monotonicity, local unitary invariance, the 5-party level
-equivalence and witness gauge invariance.  The acceptance criteria
-1-7 and 9 run these checks.
+equivalence, witness gauge invariance and the witness verdict on the
+maximally mixed state.  The acceptance criteria 1-7 and 9 run these
+checks.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from .concurrence import all_cut_concurrences, check_polygamy, \
     wootters_concurrence
 from .errors import TrigmeError
 from .mixed import _spectrum, minimal_purification, witness
-from .states import (LocalChannel, PureState, ghz_state, haar_random_pure,
-                     haar_random_unitary, hermitian_eig, partial_trace,
-                     random_local_channel, tensor_product,
+from .states import (DensityMatrix, LocalChannel, PureState, ghz_state,
+                     haar_random_pure, haar_random_unitary, hermitian_eig,
+                     partial_trace, random_local_channel, tensor_product,
                      apply_local_channel_branches, w_state)
 from .stateio import fixture_path, parse_state_file
 from .triangles import EdgeConvention, f_level, f_total, gme_value
@@ -271,6 +272,16 @@ def check_witness_gauge() -> str:
     return f"max deviation {worst:.1e} over 21 gauges x 2 conventions"
 
 
+def check_maximally_mixed_witness() -> str:
+    # I/8 is fully separable, yet its purification scores well above 0
+    rho = DensityMatrix((2, 2, 2), np.eye(8) / 8)
+    reports = [witness(rho, conv) for conv in BOTH]
+    if any(r.gme_detected for r in reports):
+        raise AssertionError(f"I/8 reported as GME: {reports[0].verdict}")
+    values = ", ".join(f"{r.value:.4f}" for r in reports)
+    return f"I/8 witness {values}: {reports[0].verdict}"
+
+
 CHECKS = [
     ("golden-pure-values", check_golden_pure),
     ("appendix-c-reproduction", check_appendix_c),
@@ -282,6 +293,7 @@ CHECKS = [
     ("local-unitary-invariance", check_lu_invariance),
     ("five-party-level-equivalence", check_f5_equivalence),
     ("witness-gauge-invariance", check_witness_gauge),
+    ("maximally-mixed-witness", check_maximally_mixed_witness),
 ]
 
 

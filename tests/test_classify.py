@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from trigme import (Cut, InternalInvariantError, PureState, ValidationError,
+from trigme import (Cut, PureState, ValidationError,
                     basis_state, f_total, finest_factorization, ghz_state,
                     haar_random_pure, marginal_cuts, partial_trace,
                     product_cuts, tensor_product, w_state)
@@ -117,8 +117,9 @@ def test_party_cap():
 
 def test_absurd_tolerance_raises_inconsistent_factorization():
     # every GHZ cut falls below a threshold of 2, so the refinement
-    # splits into singletons, which cannot reconstruct the state
-    with pytest.raises(InternalInvariantError,
+    # splits into singletons, which cannot reconstruct the state; a
+    # threshold above the 1e-2 reconstruction clip is the caller's fault
+    with pytest.raises(ValidationError,
                        match="inconsistent factorization"):
         finest_factorization(ghz_state(3), tol=2.0)
 

@@ -13,7 +13,8 @@ import pytest
 import trigme
 import trigme.cli
 import trigme.selftest
-from trigme import InternalInvariantError, haar_random_pure, parse_state_file
+from trigme import (DensityMatrix, InternalInvariantError, haar_random_pure,
+                    parse_state_file)
 from trigme.cli import run_command
 from trigme.selftest import CHECKS, run_selftest
 from trigme.stateio import render_state_document
@@ -121,6 +122,19 @@ def test_witness_pure_document_uses_bypass(capsys, fixtures_dir):
     assert "witness (concurrence): 1" in out
 
 
+def test_witness_of_the_maximally_mixed_state_is_inconclusive(capsys,
+                                                              tmp_path):
+    path = tmp_path / "mixed8.json"
+    path.write_text(render_state_document(
+        DensityMatrix((2, 2, 2), np.eye(8) / 8)))
+    code, out, err = run(capsys, "witness", str(path))
+    assert code == 0, err
+    assert "witness (concurrence): 1.22686565" in out
+    assert "purification rank: 8" in out
+    assert out.endswith("verdict: inconclusive: witness positive, "
+                        "no GME certificate\n")
+
+
 def test_witness_tol_reaches_the_rank_cut(capsys, fixtures_dir):
     # appendix_e_alt loads only at a loose tolerance, and its rounding
     # leaves eigenvalues 3.5e-7 and 1.6e-7: counted as rank they give
@@ -166,11 +180,36 @@ def test_classify_ghz4_is_gme(capsys, fixtures_dir):
     assert "not GME" not in out
 
 
-def test_classify_internal_breach_exits_two(capsys, fixtures_dir):
-    code, _, err = run(capsys, "classify", str(fixtures_dir / "ghz4.json"),
-                       "--tol", "2.0")
+def test_classify_internal_breach_exits_two(capsys, monkeypatch,
+                                            fixtures_dir):
+    def finest_factorization(*args, **kwargs):
+        raise InternalInvariantError("inconsistent factorization")
+
+    monkeypatch.setattr(trigme.cli, "finest_factorization",
+                        finest_factorization)
+    code, _, err = run(capsys, "classify", str(fixtures_dir / "ghz4.json"))
     assert code == 2
     assert "internal invariant breach" in err
+
+
+@pytest.mark.parametrize("command, fixture, err_value", [
+    ("analyze", "ghz4.json", "0.4999999999999999"),
+    ("classify", "w4.json", "0.31640625"),
+])
+def test_too_loose_product_cut_threshold_exits_one(capsys, fixtures_dir,
+                                                   command, fixture,
+                                                   err_value):
+    # every cut falls below a threshold of 5, so the factorization splits
+    # into singletons that cannot rebuild the state: the user's threshold
+    # is at fault, not an invariant
+    code, out, err = run(capsys, command, str(fixtures_dir / fixture),
+                         "--tol", "5")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        f"trigme: error: inconsistent factorization: reconstruction error "
+        f"{err_value} exceeds 0.01 for factors ((1,), (2,), (3,), (4,)); "
+        f"the cut threshold 5.0 is likely too loose for this state\n")
 
 
 @pytest.mark.parametrize("command", ["analyze", "classify"])
@@ -454,34 +493,33 @@ def ghz3_with_second_eigenvalue(tmp_path, second: float) -> Path:
     return path
 
 
-def test_rank_one_below_the_one_rank_tolerance_is_projected(capsys,
-                                                            tmp_path):
-    # a second eigenvalue of 5e-10 is under the 1e-9 floor of the rank
-    # cut, so analyze projects what witness scores at rank 1
-    path = ghz3_with_second_eigenvalue(tmp_path, 5e-10)
-    code, out, err = run(capsys, "analyze", str(path), "--tol", "1e-10",
+@pytest.mark.parametrize("factor", [0.5, 0.9, 1.1, 2.0])
+@pytest.mark.parametrize("tol", [1e-10, 1e-9, 1e-6, 1e-3])
+def test_one_rank_answer_per_document(capsys, tmp_path, tol, factor):
+    # analyze and classify take a document as pure exactly when the
+    # witness scores it at rank 1, on both sides of max(T, 1e-9)
+    cut = max(tol, 1e-9)
+    path = ghz3_with_second_eigenvalue(tmp_path, factor * cut)
+    code, out, err = run(capsys, "witness", str(path), "--tol", repr(tol),
                          "--json")
     assert code == 0, err
-    doc = json.loads(out)
-    assert doc["notices"] == ["rank-1 mixed input projected to its dominant "
-                              "eigenvector (second eigenvalue 5.000e-10)"]
-    assert doc["f_total"] == pytest.approx(1.0, abs=1e-9)
-    code, out, err = run(capsys, "witness", str(path), "--tol", "1e-10",
+    witnessed = json.loads(out)
+    rank_one = witnessed["pure_state_bypass"]
+    assert rank_one is (factor < 1)
+    second = f"second eigenvalue {factor * cut:.3e}"
+    expected = (0, "") if rank_one else (1, (
+        f"trigme: error: input is mixed with {second} > tolerance {cut:g}; "
+        f"use the witness or convex-roof commands\n"))
+    code, out, err = run(capsys, "analyze", str(path), "--tol", repr(tol),
                          "--json")
-    assert code == 0, err
-    assert json.loads(out)["pure_state_bypass"] is True
-
-
-@pytest.mark.parametrize("command", ["analyze", "classify"])
-def test_mixed_refusal_names_the_threshold_it_applied(capsys, tmp_path,
-                                                      command):
-    path = ghz3_with_second_eigenvalue(tmp_path, 2e-9)
-    code, out, err = run(capsys, command, str(path), "--tol", "1e-10")
-    assert code == 1
-    assert out == ""
-    assert err == ("trigme: error: input is mixed with second eigenvalue "
-                   "2.000e-09 > tolerance 1e-09; use the witness or "
-                   "convex-roof commands\n")
+    assert (code, err) == expected
+    if rank_one:
+        doc = json.loads(out)
+        assert doc["f_total"] == witnessed["witness"]["concurrence"]
+        assert doc["notices"] == [f"rank-1 mixed input projected to its "
+                                  f"dominant eigenvector ({second})"]
+    code, _, err = run(capsys, "classify", str(path), "--tol", repr(tol))
+    assert (code, err) == expected
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -16,6 +16,7 @@ from trigme.mixed import (WEIGHT_FLOOR, _ensemble, _ensemble_members,
                           _ensemble_value, _isometry, _param_count,
                           _spectrum)
 from trigme.states import _check_rows
+from trigme.triangles import ZERO_AREA_TOL
 from trigme.stateio import fixture_path
 from oracles import GHZ_MIX_ROOF_REFERENCE, ghz_000_mixture
 
@@ -153,6 +154,50 @@ def test_witness_cuts_the_rank_at_the_state_tolerance(conv):
     assert rep.purification_rank == 2
     assert rep.value == 0.0
     assert rep.verdict == "no GME detected by witness"
+
+
+INCONCLUSIVE = "inconclusive: witness positive, no GME certificate"
+
+
+@pytest.mark.parametrize("conv", [CONC, SQ])
+@pytest.mark.parametrize("rho", [
+    pytest.param(lambda: DensityMatrix((2, 2, 2), np.eye(8) / 8),
+                 id="maximally-mixed"),
+    pytest.param(classical_mixture, id="classical-ghz-mixture"),
+])
+def test_positive_witness_without_certificate_is_inconclusive(rho, conv):
+    # both states are fully separable, yet their purifications score 1 or
+    # more: the value alone certifies nothing
+    rep = witness(rho(), conv)
+    assert rep.value > 0.9
+    assert not rep.gme_detected
+    assert rep.verdict == INCONCLUSIVE
+
+
+def test_witness_certifies_the_ghz_000_mixture():
+    # fidelity 0.8953 with its dominant eigenvector against alpha 0.6581
+    for conv in (CONC, SQ):
+        rep = witness(ghz_000_rho(), conv)
+        assert rep.purification_rank == 2
+        assert rep.gme_detected
+        assert rep.verdict == "GME detected"
+
+
+@pytest.mark.parametrize("offset", [-1e-3, 1e-3], ids=["below", "above"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_ghz_white_noise_is_certified_exactly_above_its_threshold(n, offset):
+    # GHZ_N at weight p in white noise has fidelity p + (1 - p) / 2^N with
+    # GHZ_N, whose largest squared Schmidt coefficient is 1/2 on every cut
+    p = (2 ** (n - 1) - 1) / (2 ** n - 1) + offset
+    ghz = ghz_state(n).amplitudes
+    d = 2 ** n
+    rho = DensityMatrix((2,) * n, p * np.outer(ghz, ghz.conj())
+                        + (1 - p) * np.eye(d) / d)
+    rep = witness(rho, CONC)
+    assert rep.purification_rank == d
+    assert rep.value > ZERO_AREA_TOL
+    assert rep.gme_detected is (offset > 0)
+    assert rep.verdict == ("GME detected" if offset > 0 else INCONCLUSIVE)
 
 
 def test_witness_needs_three_parties():

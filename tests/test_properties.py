@@ -1,20 +1,22 @@
 """Derandomized hypothesis properties: party-permutation and qudit
 local-unitary invariance of the measures, bit-exact document round
-trips, and the indented JSON writer against the standard library's."""
+trips, the indented JSON writer against the standard library's, and no
+GME certificate for mixtures of biseparable states."""
 
 import json
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from trigme import (DensityMatrix, EdgeConvention, LocalChannel, PureState,
                     all_cut_concurrences, apply_local_channel_branches,
-                    f_total, gme_value, haar_random_pure,
-                    parse_state_document, partial_trace,
-                    render_state_document, tensor_product)
+                    f_total, finest_factorization, gme_value,
+                    haar_random_pure, parse_state_document, partial_trace,
+                    render_state_document, tensor_product, witness)
 from trigme.reporting import canonical_json, fmt10
+from trigme.selftest import random_biseparable
 from trigme.states import haar_random_unitary
 from trigme.stateio import indented_json
 
@@ -143,3 +145,24 @@ def test_indented_json_raises_type_error_where_documented():
     for key in ((1, 2), 1):
         with pytest.raises(TypeError, match="keys must be str"):
             indented_json({"a": 0, key: 0})
+
+
+@PROPERTY
+@given(nparties=st.sampled_from([3, 4]),
+       seeds=st.lists(st.integers(0, 2 ** 20), min_size=2, max_size=4,
+                      unique=True),
+       data=st.data())
+def test_mixtures_of_biseparable_states_are_never_certified(nparties, seeds,
+                                                            data):
+    members = [random_biseparable(nparties, seed) for seed in seeds]
+    cuts = {finest_factorization(psi).factors for psi in members}
+    assume(len(cuts) > 1)  # a mixture on one cut is biseparable there
+    weights = data.draw(st.lists(st.floats(0.1, 1.0), min_size=len(seeds),
+                                 max_size=len(seeds)))
+    total = math.fsum(weights)
+    rho = sum(w / total * np.outer(psi.amplitudes, psi.amplitudes.conj())
+              for w, psi in zip(weights, members))
+    rep = witness(DensityMatrix((2,) * nparties, rho),
+                  data.draw(st.sampled_from(list(EdgeConvention))))
+    assert not rep.gme_detected
+    assert rep.verdict != "GME detected"
