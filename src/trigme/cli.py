@@ -87,16 +87,15 @@ def _parse_dims(text: str) -> list[int]:
 
 def _as_pure(state, notices: list[str]) -> PureState:
     """Pass through pure states; project rank-1 mixed inputs."""
-    if isinstance(state, PureState):
-        return state
     spec = _spectrum(state)
     if spec.pure is None:
         raise ValidationError(
             f"input is mixed with second eigenvalue {spec.values[1]:.3e} > "
             f"tolerance {spec.cut:g}; use the witness or convex-roof commands")
-    notices.append(
-        f"rank-1 mixed input projected to its dominant eigenvector "
-        f"(second eigenvalue {spec.values[1]:.3e})")
+    if spec.pure is not state:
+        notices.append(
+            f"rank-1 mixed input projected to its dominant eigenvector "
+            f"(second eigenvalue {spec.values[1]:.3e})")
     return spec.pure
 
 
@@ -123,10 +122,9 @@ def _cmd_analyze(ns) -> int:
 def _cmd_witness(ns) -> int:
     tol = _tolerance(ns.tol)
     state = parse_state_file(ns.file, tol=tol)
-    rho = state.projector() if isinstance(state, PureState) else state
     convs = ([EdgeConvention(ns.convention)] if ns.convention
              else list(EdgeConvention))
-    results = {conv: witness(rho, conv) for conv in convs}
+    results = {conv: witness(state, conv) for conv in convs}
     first = next(iter(results.values()))
     if ns.json:
         payload = {
@@ -151,12 +149,11 @@ def _cmd_witness(ns) -> int:
 
 def _cmd_convex_roof(ns) -> int:
     state = parse_state_file(ns.file, tol=LOAD_TOL)
-    rho = state.projector() if isinstance(state, PureState) else state
     seed = _seed(ns.seed)
     sizes = None if ns.ensemble_size is None else (ns.ensemble_size,)
     config = ConvexRoofConfig(ensemble_sizes=sizes, restarts=ns.restarts,
                               seed=seed)
-    result = convex_roof_upper_bound(rho, EdgeConvention.CONCURRENCE, config)
+    result = convex_roof_upper_bound(state, config=config)
     weights = [p for p, _ in result.decomposition.members]
     if ns.json:
         payload = {

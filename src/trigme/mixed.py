@@ -72,9 +72,12 @@ class Purification:
 Spectrum = namedtuple("Spectrum", "values vectors rank cut pure")
 
 
-def _spectrum(rho: DensityMatrix) -> Spectrum:
-    """The rank rule: the eigenvalues above max(rho.tol, RANK_TOL) count."""
+def _spectrum(rho: DensityMatrix | PureState) -> Spectrum:
+    """The rank rule: the eigenvalues above max(rho.tol, RANK_TOL) count;
+    a PureState is its own rank-1 spectrum."""
     cut = max(rho.tol, RANK_TOL)
+    if isinstance(rho, PureState):
+        return Spectrum(np.ones(1), rho.amplitudes[:, None], 1, cut, rho)
     vals, vecs = hermitian_eig(rho)
     rank = int(np.sum(vals > cut))
     if rank == 0:
@@ -84,7 +87,7 @@ def _spectrum(rho: DensityMatrix) -> Spectrum:
     return Spectrum(vals, vecs, rank, cut, pure)
 
 
-def _purify(rho: DensityMatrix, spec: Spectrum) -> Purification:
+def _purify(rho: DensityMatrix | PureState, spec: Spectrum) -> Purification:
     vals, vecs = spec.values[:spec.rank], spec.vectors[:, :spec.rank]
     amps = (vecs * np.sqrt(vals)).reshape(-1)
     state = PureState(rho.dims + (spec.rank,), amps / np.linalg.norm(amps),
@@ -92,12 +95,12 @@ def _purify(rho: DensityMatrix, spec: Spectrum) -> Purification:
     return Purification(state, rho.nparties + 1, tuple(vals.tolist()))
 
 
-def minimal_purification(rho: DensityMatrix) -> Purification:
+def minimal_purification(rho: DensityMatrix | PureState) -> Purification:
     """Spectral purification keeping eigenvalues above max(rho.tol, 1e-9).
 
     The reference dimension equals the numerical rank; amplitudes are
     ``sqrt(l_k)`` on ``|v_k>|k>`` with the reference party appended as
-    party N+1.
+    party N+1.  A PureState is its own rank-1 spectrum.
     """
     return _purify(rho, _spectrum(rho))
 
@@ -115,15 +118,15 @@ class WitnessReport:
     report: GmeReport
 
 
-def witness(rho: DensityMatrix,
+def witness(rho: DensityMatrix | PureState,
             conv: EdgeConvention = EdgeConvention.CONCURRENCE,
             ) -> WitnessReport:
     """Purification witness: the pure measure on a minimal purification.
 
     The rank counts the eigenvalues above ``max(rho.tol, 1e-9)``.
-    Rank-1 inputs are pure states in disguise; their purification would
-    carry a product reference party and always score zero, so they are
-    scored directly with ``pure_state_bypass`` set.
+    Rank-1 inputs are pure states; their purification would carry a
+    product reference party and always score zero, so they are scored
+    directly with ``pure_state_bypass`` set (a PureState as given).
 
     A value at most ``ZERO_AREA_TOL`` reports no GME.  A positive value
     reports GME at rank 1, where it is exact, and above rank 1 only when
@@ -190,17 +193,23 @@ class Decomposition:
         return len(self.members)
 
 
-def decomposition_mixture_error(rho: DensityMatrix,
+def decomposition_mixture_error(rho: DensityMatrix | PureState,
                                 decomp: Decomposition) -> float:
     """Max entrywise deviation of sum_i p_i |psi_i><psi_i| from rho."""
     dims = decomp.members[0][1].dims
     if dims != rho.dims:
         raise ValidationError(
             f"decomposition dims {dims} differ from the state's {rho.dims}")
-    mix = np.zeros_like(rho.entries)
+    target = (rho.entries if isinstance(rho, DensityMatrix)
+              else np.outer(rho.amplitudes, rho.amplitudes.conj()))
+    mix = np.zeros_like(target)
     for p, psi in decomp.members:
         mix = mix + p * np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return float(np.max(np.abs(mix - rho.entries)))
+    return float(np.max(np.abs(mix - target)))
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -218,14 +227,21 @@ class ConvexRoofConfig:
 
     def __post_init__(self):
         sizes = self.ensemble_sizes
+        if sizes is not None and not (isinstance(sizes, (tuple, list))
+                                      and all(map(_is_int, sizes))):
+            raise ValidationError(
+                f"ensemble_sizes must be a tuple of integers, got {sizes!r}")
         if sizes is not None and (not sizes or min(sizes) < 1):
             raise ValidationError(
                 f"ensemble sizes must be >= 1, got {sizes!r}")
         for name, low in (("restarts", 0), ("max_iterations", 1),
                           ("seed", 0)):
-            if getattr(self, name) < low:
-                raise ValidationError(f"{name} must be >= {low}, got "
-                                      f"{getattr(self, name)}")
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValidationError(
+                    f"{name} must be an integer, got {value!r}")
+            if value < low:
+                raise ValidationError(f"{name} must be >= {low}, got {value}")
 
 
 @dataclass(frozen=True)
@@ -385,7 +401,7 @@ def _ensemble_members(sub: np.ndarray, iso: np.ndarray,
 
 
 def convex_roof_upper_bound(
-        rho: DensityMatrix,
+        rho: DensityMatrix | PureState,
         conv: EdgeConvention = EdgeConvention.CONCURRENCE,
         config: ConvexRoofConfig | None = None) -> ConvexRoofResult:
     """Upper bound on the convex roof of the GME measure.
@@ -394,7 +410,8 @@ def convex_roof_upper_bound(
     decompositions of ``rho`` with random restarts; the spectral
     decomposition seeds the search, so the result never exceeds the
     spectral ensemble average.  Eigenvalues above ``max(rho.tol, 1e-9)``
-    make the rank, and the members carry that tolerance.
+    make the rank, and the members carry that tolerance.  A PureState
+    is its own one-member decomposition, scored with no search.
     """
     if rho.nparties < 3:
         raise ValidationError(

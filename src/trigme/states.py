@@ -198,6 +198,18 @@ class PureState:
         return DensityMatrix(self.dims, mat, tol=max(self.tol, NORM_TOL))
 
 
+def _checked_eig(mat: np.ndarray, tol: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Descending ``eigh`` of a finite matrix Hermitian within ``tol``."""
+    _check_finite(mat, "matrix entry")
+    herm = float(np.max(np.abs(mat - mat.conj().T)))
+    if herm > tol:
+        raise ValidationError(
+            f"matrix is not Hermitian: max |M - M^H| = {herm!r}")
+    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    return vals[::-1].copy(), vecs[:, ::-1].copy()
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian positive-semidefinite matrix with unit trace.
@@ -206,7 +218,7 @@ class DensityMatrix:
     derived from loosely validated inputs (such as rounded published
     fixtures loaded with ``tol=1e-3``) propagate their tolerance to
     their own marginals and to the mixed-state rank cut.  It must be
-    finite and >= 0.
+    finite and >= 0; the validating eigendecomposition is kept.
     """
 
     dims: tuple[int, ...]
@@ -221,22 +233,19 @@ class DensityMatrix:
         if mat.shape != (d, d):
             raise ValidationError(
                 f"matrix shape {mat.shape} != ({d}, {d}) from dims {dims}")
-        _check_finite(mat, "matrix entry")
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm > self.tol:
-            raise ValidationError(
-                f"matrix is not Hermitian: max |M - M^H| = {herm!r}")
+        vals, vecs = _checked_eig(mat, self.tol)
         tr = complex(np.trace(mat))
         if abs(tr - 1.0) > self.tol:
             raise ValidationError(
                 f"trace {tr!r} deviates from 1 by more than {self.tol}")
-        lo = float(np.min(np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)))
-        if lo < -self.tol:
+        if vals[-1] < -self.tol:
             raise ValidationError(
-                f"matrix has negative eigenvalue {lo!r}")
-        mat.setflags(write=False)
+                f"matrix has negative eigenvalue {float(vals[-1])!r}")
+        for a in (mat, vals, vecs):
+            a.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", mat)
+        object.__setattr__(self, "_eig", (vals, vecs))
 
     @property
     def nparties(self) -> int:
@@ -397,20 +406,17 @@ def hermitian_eig(rho: DensityMatrix | np.ndarray
         ``eigenvectors`` is the eigenvector for ``eigenvalues[k]``.
         Degenerate subspaces may return any orthonormal completion.
 
-    A raw array with a NaN or infinite entry, or not Hermitian within
-    NORM_TOL, is refused; a DensityMatrix checked both when it was built.
+    A DensityMatrix returns copies of the decomposition its validation
+    made.  A raw array is refused unless it is a nonempty square matrix,
+    finite and Hermitian within NORM_TOL.
     """
     if isinstance(rho, DensityMatrix):
-        mat = rho.entries
-    else:
-        mat = np.asarray(rho)
-        _check_finite(mat, "matrix entry")
-        herm = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm > NORM_TOL:
-            raise ValidationError(
-                f"matrix is not Hermitian: max |M - M^H| = {herm!r}")
-    vals, vecs = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-    return vals[::-1].copy(), vecs[:, ::-1].copy()
+        return rho._eig[0].copy(), rho._eig[1].copy()
+    mat = np.asarray(rho)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise ValidationError(
+            f"matrix shape {mat.shape} is not a nonempty square matrix")
+    return _checked_eig(mat, NORM_TOL)
 
 
 def haar_random_pure(dims: Sequence[int], seed: int) -> PureState:

@@ -149,6 +149,29 @@ def test_witness_tol_reaches_the_rank_cut(capsys, fixtures_dir):
     assert doc["verdict"] == "no GME detected by witness"
 
 
+@pytest.mark.parametrize("argv, dim, solves", [
+    (["witness", "appendix_e.json"], 8, 1),
+    (["witness", "ghz4.json"], 16, 0),
+    (["convex-roof", "w4.json", "--restarts", "1"], 16, 0),
+    (["analyze", "appendix_c.json", "--tol", "1e-3"], 16, 1),
+])
+def test_a_command_decomposes_the_full_state_at_most_once(
+        capsys, monkeypatch, fixtures_dir, argv, dim, solves):
+    # validation decomposes a density document, every measure reads that
+    # spectrum, and a pure document is scored as loaded
+    shapes = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(mat, *args, _solve=getattr(np.linalg, name), **kw):
+            shapes.append(np.shape(mat))
+            return _solve(mat, *args, **kw)
+        monkeypatch.setattr(np.linalg, name, counting)
+    argv = [str(fixtures_dir / a) if a.endswith(".json") else a
+            for a in argv]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert shapes.count((dim, dim)) == solves
+
+
 # ------------------------------------------------------------ convex-roof
 
 def test_convex_roof_on_appendix_e(capsys, fixtures_dir):

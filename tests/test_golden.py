@@ -3,7 +3,8 @@
 The golden files pin the exact output of the pure-state pipeline: the
 ``analyze --json`` report of every shipped pure or rank-1 fixture and
 of two seeded 3-party Haar states, the
-``witness --json`` outcome of the two mixed fixtures, ``repr`` of
+``witness --json`` outcome of the two mixed fixtures, the text and
+``witness --json`` reports of the GHZ4 and W4 pure documents, ``repr`` of
 ``gme_value`` on seeded Haar states under both edge conventions, and
 ``repr`` of every number a small convex-roof search returns (value,
 spectral value, history and decomposition weights).  Each
@@ -56,6 +57,13 @@ WITNESS_CASES = {
     for name in ("appendix_e", "appendix_e_alt")
 }
 CLI_CASES = {**ANALYZE_CASES, **WITNESS_CASES}
+# A pure document is scored as loaded; each file holds the text report
+# followed by the --json one.
+PURE_WITNESS_CASES = {
+    f"witness-{name}": (["witness", name + ".json"],
+                        ["witness", name + ".json", "--json"])
+    for name in ("ghz4", "w4")
+}
 GME_STATES = ([(f"haar-2^{n}", (2,) * n, 4000 + n) for n in range(4, 13)]
               + [("haar-3x3x3x3", (3, 3, 3, 3), 4100),
                  ("haar-3x2x4x2x3", (3, 2, 4, 2, 3), 4101)])
@@ -137,6 +145,12 @@ def test_report_bytes_match_golden(name):
     assert cli_output(argv) == want
 
 
+@pytest.mark.parametrize("name", sorted(PURE_WITNESS_CASES))
+def test_pure_witness_bytes_match_golden(name):
+    want = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert "".join(map(cli_output, PURE_WITNESS_CASES[name])) == want
+
+
 def test_gme_values_match_golden_bit_for_bit():
     want = (GOLDEN / "gme_values.txt").read_text(encoding="utf-8")
     assert gme_lines() == want
@@ -152,6 +166,9 @@ def regenerate() -> None:
     for name, argv in CLI_CASES.items():
         (GOLDEN / f"{name}.out").write_text(cli_output(argv),
                                             encoding="utf-8")
+    for name, argvs in PURE_WITNESS_CASES.items():
+        (GOLDEN / f"{name}.out").write_text(
+            "".join(map(cli_output, argvs)), encoding="utf-8")
     (GOLDEN / "gme_values.txt").write_text(gme_lines(), encoding="utf-8")
     (GOLDEN / "roof_values.txt").write_text(roof_lines(), encoding="utf-8")
 

@@ -52,6 +52,14 @@ def test_purification_of_pure_state_is_rank_one():
                                np.abs(phi.amplitudes), atol=1e-9)
 
 
+def test_purification_of_a_pure_state_is_the_state_itself():
+    psi = haar_random_pure([2, 3], 4)
+    pur = minimal_purification(psi)
+    assert pur.rank == 1
+    assert pur.eigenvalues == (1.0,)
+    assert np.array_equal(pur.state.amplitudes, psi.amplitudes)
+
+
 def test_purification_of_diagonal_qubit():
     rho = DensityMatrix((2,), np.diag([0.75, 0.25]))
     pur = minimal_purification(rho)
@@ -147,6 +155,16 @@ def test_rank_one_witness_decomposes_rho_once(monkeypatch):
 
 
 @pytest.mark.parametrize("conv", [CONC, SQ])
+def test_witness_scores_a_pure_state_as_given(conv):
+    psi = haar_random_pure([2, 2, 3], 12)
+    rep = witness(psi, conv)
+    assert rep.pure_state_bypass
+    assert rep.purification_rank == 1
+    assert rep.value == f_total(psi, conv).value
+    assert rep.verdict == "GME detected"
+
+
+@pytest.mark.parametrize("conv", [CONC, SQ])
 def test_witness_cuts_the_rank_at_the_state_tolerance(conv):
     # at a 1e-9 cut the two rounding eigenvalues would count: rank 4 and
     # a spurious 0.0322
@@ -226,6 +244,19 @@ def test_rank_one_roof_is_its_spectral_value_without_a_search(monkeypatch):
     assert result.value == result.spectral_value
     assert result.value == pytest.approx(gme_value(w_state(3)), abs=1e-9)
     assert result.history == (result.value,) * 7
+
+
+def test_roof_of_a_pure_state_is_its_spectral_value(monkeypatch):
+    def minimize(*args, **kwargs):
+        raise AssertionError("searched a pure state's decompositions")
+
+    monkeypatch.setattr(trigme.mixed, "minimize", minimize)
+    psi = w_state(4)
+    result = convex_roof_upper_bound(psi, CONC, ConvexRoofConfig(restarts=2))
+    assert result.value == result.spectral_value
+    assert result.value == pytest.approx(gme_value(psi), abs=1e-12)
+    assert len(result.decomposition) == 1
+    assert decomposition_mixture_error(psi, result.decomposition) <= 1e-12
 
 
 def test_roof_of_classical_mixture_is_zero():
@@ -308,6 +339,30 @@ def test_mixture_error_refuses_a_decomposition_of_other_dims():
                        match=r"dims \(2, 2, 2, 2\) differ from the "
                              r"state's \(2, 2, 2\)"):
         decomposition_mixture_error(ghz_000_rho(), decomp)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("restarts", 1.5), ("restarts", True), ("max_iterations", 10.0),
+    ("seed", 1.5), ("seed", "3"),
+])
+def test_roof_config_refuses_non_integer_counts(field, value):
+    with pytest.raises(ValidationError,
+                       match=f"{field} must be an integer, got {value!r}"):
+        ConvexRoofConfig(**{field: value})
+
+
+@pytest.mark.parametrize("sizes", [(2, 2.5), (True,), 3])
+def test_roof_config_refuses_non_integer_ensemble_sizes(sizes):
+    with pytest.raises(ValidationError,
+                       match="ensemble_sizes must be a tuple of integers"):
+        ConvexRoofConfig(ensemble_sizes=sizes)
+
+
+def test_roof_config_takes_numpy_integers():
+    cfg = ConvexRoofConfig(ensemble_sizes=(np.int64(2),),
+                           restarts=np.int32(1), seed=np.uint64(5))
+    result = convex_roof_upper_bound(ghz_000_rho(), CONC, cfg)
+    assert len(result.decomposition) == 2
 
 
 def test_roof_rejects_undersized_ensembles():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -230,6 +231,29 @@ def test_hermitian_eig_takes_no_tolerance():
     loose = DensityMatrix((2,), [[0.5, 1e-4], [0.0, 0.5]], tol=1e-3)
     np.testing.assert_allclose(hermitian_eig(loose)[0], [0.5 + 5e-5,
                                                          0.5 - 5e-5])
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (4,), (2, 2, 2), (), (0, 0)])
+def test_hermitian_eig_refuses_a_non_square_array_naming_its_shape(shape):
+    with pytest.raises(ValidationError,
+                       match=re.escape(f"matrix shape {shape} is not a "
+                                       f"nonempty square matrix")):
+        hermitian_eig(np.zeros(shape))
+
+
+def test_density_matrix_keeps_its_validation_spectrum(monkeypatch):
+    rho = partial_trace(haar_random_pure([2, 3, 2], 8), (1, 2))
+    want = np.linalg.eigh((rho.entries + rho.entries.conj().T) / 2.0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("decomposed a validated DensityMatrix again")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    vals, vecs = hermitian_eig(rho)
+    assert np.array_equal(vals, want[0][::-1])
+    assert np.array_equal(vecs, want[1][:, ::-1])
+    vals[0] = vecs[0, 0] = 7.0  # the caller's copies
+    assert np.array_equal(hermitian_eig(rho)[0], want[0][::-1])
 
 
 @pytest.mark.parametrize("mat, where", [
