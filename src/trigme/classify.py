@@ -2,8 +2,8 @@
 
 A vanishing cut concurrence certifies a product structure across that
 bipartition; the common refinement of all such cuts yields the finest
-factorization detectable from the cut table, which is verified by
-reconstructing the state from its factor marginals.
+factorization detectable from the cut table, which, when it has two or
+more blocks, is verified by rebuilding the state from their marginals.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalInvariantError, ValidationError
-from .states import Cut, PureState, _pure_marginal
+from .states import Cut, PureState, _check_tol, _pure_marginal
 from .concurrence import all_cut_concurrences
 
 DEFAULT_TOL = 1e-6
@@ -49,6 +49,7 @@ def _split_cuts(psi: PureState, tol: float,
                 caller: str) -> tuple[list[Cut], list[Cut]]:
     """Product cuts (at most ``tol``) and marginal cuts (above ``tol``,
     within 10x of it) of one cut table, each sorted."""
+    _check_tol(tol)
     n = psi.nparties
     if n < 2:
         raise ValidationError(f"{caller} needs at least 2 parties")
@@ -90,22 +91,17 @@ def _refine_blocks(blocks: list[tuple[int, ...]],
 
 def _reconstruction_error(psi: PureState,
                           factors: list[tuple[int, ...]]) -> float:
-    """Max entrywise deviation of the factor-marginal product from psi."""
-    n = psi.nparties
-    dims = psi.dims
-    marginals = [_pure_marginal(psi.amplitudes, dims, [p - 1 for p in block])
-                 for block in factors]
+    """Max entrywise deviation of the factor-marginal product from
+    |psi><psi|, both in block order (the parties of ``factors`` in
+    turn).  Builds D x D arrays, so it is for two or more blocks only."""
+    marginals = [_pure_marginal(psi.amplitudes, psi.dims,
+                                [p - 1 for p in block]) for block in factors]
     rec = marginals[0]
     for m in marginals[1:]:
         rec = np.kron(rec, m)
-    order0 = [p - 1 for block in factors for p in block]
-    inv = np.argsort(order0)
-    block_dims = [dims[i] for i in order0]
-    rec = rec.reshape(block_dims + block_dims)
-    rec = np.transpose(rec, list(inv) + [n + k for k in inv])
-    rec = rec.reshape(psi.dim, psi.dim)
-    target = np.outer(psi.amplitudes, psi.amplitudes.conj())
-    return float(np.max(np.abs(rec - target)))
+    amps = psi.amplitudes.reshape(psi.dims).transpose(
+        [p - 1 for block in factors for p in block]).reshape(-1)
+    return float(np.max(np.abs(rec - np.outer(amps, amps.conj()))))
 
 
 def finest_factorization(psi: PureState,
@@ -113,14 +109,14 @@ def finest_factorization(psi: PureState,
     """Finest party factorization detectable from vanishing cuts.
 
     Starting from the single block 1..N, every product cut refines each
-    block against the cut and its complement; the result is verified by
-    checking that the tensor product of the factor marginals equals
-    |psi><psi| within ``tol`` clipped to [1e-6, 1e-2].  The upper clip
-    keeps an absurdly loose cut threshold from hiding its own
-    misclassification: above it a failed reconstruction is the caller's
-    threshold at fault and is refused with ValidationError, at or below
-    it a failure is an InternalInvariantError.  The marginal cuts come
-    from the same table.
+    block against the cut and its complement.  One block is GME and has
+    nothing to rebuild; two or more are verified by checking that the
+    tensor product of their marginals equals |psi><psi| within ``tol``
+    clipped to [1e-6, 1e-2].  The upper clip keeps an absurdly loose cut
+    threshold from hiding its own misclassification: above it a failed
+    reconstruction is the caller's threshold at fault and is refused
+    with ValidationError, at or below it a failure is an
+    InternalInvariantError.  The marginal cuts come from the same table.
     """
     n = psi.nparties
     product, marginal = _split_cuts(psi, tol, "finest_factorization")
@@ -128,7 +124,7 @@ def finest_factorization(psi: PureState,
     for cut in product:
         blocks = _refine_blocks(blocks, cut.parties)
 
-    err = _reconstruction_error(psi, blocks)
+    err = _reconstruction_error(psi, blocks) if len(blocks) > 1 else 0.0
     recon_tol = max(1e-6, min(tol, RECON_CLIP))
     if err > recon_tol:
         error = ValidationError if tol > RECON_CLIP else InternalInvariantError

@@ -59,9 +59,8 @@ def _subset_purity(amps: np.ndarray, dims: tuple[int, ...],
 
 
 # cuts: canonical cuts by size, then lexicographically; index: either
-# side as a sorted party tuple -> position in ``cuts``; levels:
-# triangle-edge positions per level, filled in by ``triangles``.
-_CutPlan = namedtuple("_CutPlan", "cuts index levels")
+# side as a sorted party tuple -> position in ``cuts``.
+_CutPlan = namedtuple("_CutPlan", "cuts index")
 
 
 @lru_cache(maxsize=32)  # plans kept, one per number of parties
@@ -71,7 +70,7 @@ def _cut_plan(nparties: int) -> _CutPlan:
         for comb in combinations(range(1, nparties + 1), size)))
     index = {side: k for k, cut in enumerate(cuts)
              for side in (cut.parties, cut.complement)}
-    return _CutPlan(cuts, index, {})
+    return _CutPlan(cuts, index)
 
 
 def concurrence_pure(psi: PureState, cut) -> float:

@@ -411,7 +411,9 @@ def convex_roof_upper_bound(
     decomposition seeds the search, so the result never exceeds the
     spectral ensemble average.  Eigenvalues above ``max(rho.tol, 1e-9)``
     make the rank, and the members carry that tolerance.  A PureState
-    is its own one-member decomposition, scored with no search.
+    is its own one-member decomposition, scored with no search and not
+    checked (the member is the state over its own norm); every other
+    decomposition is checked against ``rho`` entry by entry.
     """
     if rho.nparties < 3:
         raise ValidationError(
@@ -462,7 +464,7 @@ def convex_roof_upper_bound(
     members = _ensemble_members(sub, _isometry(m_best, r, params_best),
                                 rho.dims, spec.cut)
     decomp = Decomposition(tuple(members))
-    err = decomposition_mixture_error(rho, decomp)
+    err = 0.0 if spec.pure is rho else decomposition_mixture_error(rho, decomp)
     if err > max(MIXTURE_TOL, 3.0 * rho.tol):
         raise InternalInvariantError(
             f"decomposition fails to reproduce the state: error {err!r}")

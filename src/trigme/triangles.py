@@ -19,7 +19,7 @@ clamped from above: areas can exceed 1 for subset-vs-rest cuts of high
 local dimension, and such triangles are inventoried instead.
 
 All measures share one engine: a vectorised pass per level over edge
-positions kept in the cached cut plan, with scalar powers, logs and
+positions kept in the cached level plan, with scalar powers, logs and
 ``math.fsum``, so values match the scalar formulas bit for bit.  The
 engine takes a leading batch axis of states: the convex-roof objective
 scores every ensemble member in one pass per cut shape and per level.
@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -177,16 +178,22 @@ def heron_area_normalized(edges: TriangleEdges,
     return max(rad, 0.0) ** conv.exponent
 
 
-def _tripartitions(nparties: int, level: int):
-    """Vertex labels ({i}, S, rest) of a level; just {1}|{2}|{3} at N=3."""
-    if nparties == 3:
-        yield (1,), (2,), (3,)
-        return
+@lru_cache(maxsize=64)  # one per (number of parties, level)
+def _level_plan(nparties: int, level: int) -> tuple[tuple, np.ndarray]:
+    """Vertex labels ({i}, S, rest) of a level's tripartitions, just
+    {1}|{2}|{3} at N=3, and the (3, T) cut-plan positions of their
+    edges, read-only since every caller shares them."""
     parties = range(1, nparties + 1)
-    for i in parties:
-        others = [p for p in parties if p != i]
-        for s in combinations(others, level):
-            yield (i,), s, tuple(p for p in others if p not in s)
+    raw = [((1,), (2,), (3,))] if nparties == 3 else (
+        ((i,), s, tuple(p for p in parties if p != i and p not in s))
+        for i in parties
+        for s in combinations([p for p in parties if p != i], level))
+    index = _cut_plan(nparties).index
+    side = {v: v for v in index}  # share the plan's tuples: no 3 per label
+    labels = tuple(tuple(side[v] for v in t) for t in raw)
+    pos = np.array([[index[v] for v in t] for t in labels]).T
+    pos.setflags(write=False)
+    return labels, pos
 
 
 def _level_areas(values: np.ndarray, n: int, level: int,
@@ -195,13 +202,8 @@ def _level_areas(values: np.ndarray, n: int, level: int,
     """Raw edge concurrences (m, 3, T) and areas (m lists of T) of a
     level, from rows of cut concurrences (m, K) in plan order.  A breach
     raises unless its row is marked False in ``live``."""
-    plan = _cut_plan(n)
-    if level not in plan.levels:  # (3, T) table positions of the edges
-        pos = np.array([[plan.index[v] for v in labels]
-                        for labels in _tripartitions(n, level)]).T
-        pos.setflags(write=False)  # shared by every caller of the plan
-        plan.levels[level] = pos
-    raw = values[:, plan.levels[level]]
+    labels, pos = _level_plan(n, level)
+    raw = values[:, pos]
     edges = raw if conv is EdgeConvention.CONCURRENCE else raw * raw
     q = 0.5 * (edges[:, 0] + edges[:, 1] + edges[:, 2])
     gap = q[:, None] - edges  # Q - a, Q - b, Q - c
@@ -217,8 +219,7 @@ def _level_areas(values: np.ndarray, n: int, level: int,
         i, k = np.unravel_index(np.argmax(bad), bad.shape)
         raise InternalInvariantError(
             f"polygamy violated: edges {tuple(edges[i, :, k].tolist())}, "
-            f"Heron radicand {rad[i, k].item()!r}, for vertices "
-            f"{list(_tripartitions(n, level))[k]}")
+            f"Heron radicand {rad[i, k].item()!r}, for vertices {labels[k]}")
     rad[zero] = 0.0
     e = conv.exponent
     return raw, [[r ** e for r in row] for row in
@@ -320,7 +321,7 @@ def f_total(psi: PureState,
     [(level_values, total)] = _measure(_table_values(table), n, conv, levels)
     triangles, zero = [], {}
     for level, raw, areas in levels:
-        for labels, edge_raw, area in zip(_tripartitions(n, level),
+        for labels, edge_raw, area in zip(_level_plan(n, level)[0],
                                           raw.T.tolist(), areas):
             edges = TriangleEdges(*map(conv.edge, edge_raw), labels)
             triangles.append(Triangle(level, edges, area))

@@ -46,6 +46,29 @@ def brute_marginal(amps, dims, keep0) -> np.ndarray:
     return rho
 
 
+def party_order_reconstruction_error(amps, dims, factors,
+                                     marginals) -> float:
+    """Max entrywise deviation of the Kronecker product of ``marginals``
+    (one per block of ``factors``, in that order) from |psi><psi|,
+    compared in party order: every product entry is moved back to the
+    basis index it has over parties 1..N, digit by digit."""
+    order0 = [p - 1 for block in factors for p in block]
+    block_dims = [dims[i] for i in order0]
+    rec = marginals[0]
+    for m in marginals[1:]:
+        rec = np.kron(rec, m)
+    back = []  # party-order index of each block-order index
+    for y in range(len(amps)):
+        digits = dict(zip(order0, index_digits(y, block_dims)))
+        x = 0
+        for i, d in enumerate(dims):
+            x = x * d + digits[i]
+        back.append(x)
+    party = np.empty_like(rec)
+    party[np.ix_(back, back)] = rec
+    return float(np.max(np.abs(party - np.outer(amps, np.conj(amps)))))
+
+
 def brute_purity(rho) -> float:
     d = rho.shape[0]
     total = 0.0

@@ -1,6 +1,8 @@
 """One cut table per result: ``analyze`` is one GME report plus one
 factorization, and every report section is read off those two."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from trigme import (Cut, PureState, basis_state, f_total, finest_factorization,
                     tensor_product, w_state, write_state_file)
 from trigme.cli import run_command
 from trigme.concurrence import all_cut_concurrences
+from trigme.selftest import appendix_c_state, random_biseparable
 
 
 @pytest.fixture
@@ -88,3 +91,63 @@ def test_factorization_carries_its_marginal_cuts(psi, tol):
 def test_weakly_entangled_marginal_cut_reaches_the_factorization():
     fact = finest_factorization(_weakly_entangled(), tol=1e-6)
     assert fact.marginal_cuts == (Cut.of((1,), 3), Cut.of((2,), 3))
+
+
+# ---------------------------------------------- reconstruction checks
+
+@pytest.fixture
+def reconstructions(monkeypatch):
+    """The factor lists of every reconstruction check made."""
+    calls = []
+    original = trigme.classify._reconstruction_error
+
+    def counted(psi, factors):
+        calls.append(tuple(factors))
+        return original(psi, factors)
+
+    monkeypatch.setattr(trigme.classify, "_reconstruction_error", counted)
+    return calls
+
+
+@pytest.mark.parametrize("psi", [
+    ghz_state(4), w_state(5), haar_random_pure([2] * 6, 7),
+    haar_random_pure([3, 2, 2], 8)],
+    ids=["ghz4", "w5", "haar-2^6", "haar-3x2x2"])
+def test_gme_state_is_not_reconstructed(psi, reconstructions):
+    assert finest_factorization(psi).is_gme
+    assert reconstructions == []
+
+
+@pytest.mark.parametrize("psi, tol", [
+    (appendix_c_state(), 1e-3), (random_biseparable(5, 0), 1e-6),
+    (_weakly_entangled(), 1e-6)], ids=["appendix_c", "biseparable", "weak"])
+def test_split_state_is_reconstructed_once(psi, tol, reconstructions):
+    fact = finest_factorization(psi, tol)
+    assert not fact.is_gme
+    assert reconstructions == [fact.factors]
+
+
+@pytest.mark.parametrize("command", [["analyze", "--json"], ["classify"]])
+@pytest.mark.parametrize("name, extra, calls", [
+    ("ghz4.json", [], 0), ("w4.json", [], 0), ("haar-2^6", [], 0),
+    ("appendix_c.json", ["--tol", "1e-3"], 1)])
+def test_commands_reconstruct_split_states_only(capsys, tmp_path,
+                                                fixtures_dir,
+                                                reconstructions, command,
+                                                name, extra, calls):
+    path = _document(name, tmp_path, fixtures_dir)
+    assert run_command([command[0], str(path)] + command[1:] + extra) == 0
+    capsys.readouterr()
+    assert len(reconstructions) == calls
+
+
+def test_gme_factorization_builds_no_full_matrix():
+    psi = haar_random_pure([2] * 10, 1010)
+    tracemalloc.start()
+    try:
+        fact = finest_factorization(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fact.is_gme
+    assert peak < psi.dim * psi.dim  # one D x D complex array is 16x this

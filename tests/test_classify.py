@@ -7,8 +7,10 @@ from trigme import (Cut, PureState, ValidationError,
                     basis_state, f_total, finest_factorization, ghz_state,
                     haar_random_pure, marginal_cuts, partial_trace,
                     product_cuts, tensor_product, w_state)
-from trigme.classify import _refine_blocks
+from trigme.classify import _reconstruction_error, _refine_blocks
 from trigme.selftest import permute_parties, random_biseparable
+from trigme.states import _pure_marginal
+from oracles import party_order_reconstruction_error
 
 BELL = PureState((2, 2), np.array([1, 0, 0, 1]) / math.sqrt(2))
 
@@ -124,6 +126,18 @@ def test_absurd_tolerance_raises_inconsistent_factorization():
         finest_factorization(ghz_state(3), tol=2.0)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("func", [finest_factorization, product_cuts,
+                                  marginal_cuts])
+def test_nan_infinite_or_negative_cut_threshold_is_refused(func, tol):
+    # NaN or -1 used to read every cut as entangled: two Bell pairs came
+    # out GME
+    psi = tensor_product([ghz_state(2), ghz_state(2)])
+    with pytest.raises(ValidationError,
+                       match=r"tolerance .* is not a finite number >= 0"):
+        func(psi, tol)
+
+
 def test_needs_two_parties():
     with pytest.raises(ValidationError):
         finest_factorization(basis_state((2,), (0,)))
@@ -132,3 +146,28 @@ def test_needs_two_parties():
 def test_w_state_is_gme_at_default_tolerance():
     fact = finest_factorization(w_state(4))
     assert fact.is_gme
+
+
+# ------------------------------------------------------ reconstruction
+
+def _unequal_product():
+    # dims (3, 2, 4, 3) with blocks {1,3} and {2,4}: interleaved parties
+    left = tensor_product([haar_random_pure([3, 4], 30),
+                           haar_random_pure([2, 3], 31)])
+    return permute_parties(left, [1, 3, 2, 4])
+
+
+@pytest.mark.parametrize("psi, factors", [
+    (_unequal_product(), None),
+    (_unequal_product(), [(1, 2), (3, 4)]),
+    (haar_random_pure([3, 2, 4, 3], 32), [(2,), (1, 4), (3,)]),
+    (haar_random_pure([3, 2, 4, 3], 33), [(4,), (1, 2, 3)]),
+] + [(random_biseparable(6, seed), None) for seed in range(6)])
+def test_block_order_error_equals_party_order_bit_for_bit(psi, factors):
+    factors = factors or list(finest_factorization(psi).factors)
+    assert len(factors) > 1
+    marginals = [_pure_marginal(psi.amplitudes, psi.dims,
+                                [p - 1 for p in block]) for block in factors]
+    assert _reconstruction_error(psi, factors) == \
+        party_order_reconstruction_error(psi.amplitudes, psi.dims, factors,
+                                         marginals)

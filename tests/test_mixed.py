@@ -259,6 +259,38 @@ def test_roof_of_a_pure_state_is_its_spectral_value(monkeypatch):
     assert decomposition_mixture_error(psi, result.decomposition) <= 1e-12
 
 
+@pytest.fixture
+def mixture_checks(monkeypatch):
+    """The decompositions checked against their state."""
+    calls = []
+    original = trigme.mixed.decomposition_mixture_error
+
+    def counted(rho, decomp):
+        calls.append(len(decomp))
+        return original(rho, decomp)
+
+    monkeypatch.setattr(trigme.mixed, "decomposition_mixture_error", counted)
+    return calls
+
+
+@pytest.mark.parametrize("psi", [w_state(4), haar_random_pure([2] * 6, 61)],
+                         ids=["w4", "haar-2^6"])
+def test_pure_state_roof_skips_the_mixture_check(psi, mixture_checks):
+    result = convex_roof_upper_bound(psi, CONC, ConvexRoofConfig(restarts=1))
+    assert len(result.decomposition) == 1
+    assert mixture_checks == []
+
+
+@pytest.mark.parametrize("rho, rank", [
+    (ghz_state(3).projector(), 1), (ghz_000_rho(), 2),
+    (classical_mixture(), 2)], ids=["ghz3-projector", "ghz-000", "classical"])
+def test_density_matrix_roof_keeps_the_mixture_check(rho, rank,
+                                                     mixture_checks):
+    convex_roof_upper_bound(rho, CONC, ConvexRoofConfig(restarts=1))
+    assert len(mixture_checks) == 1
+    assert mixture_checks[0] >= rank
+
+
 def test_roof_of_classical_mixture_is_zero():
     result = convex_roof_upper_bound(classical_mixture(), CONC,
                                      ConvexRoofConfig(restarts=2))

@@ -182,16 +182,6 @@ def test_rows_stopped_at_a_zero_level_skip_the_later_checks():
         _measure(values, 6, EdgeConvention.CONCURRENCE)
 
 
-def test_plan_arrays_are_shared_not_rebuilt():
-    gme_value(haar_random_pure((2,) * 7, 3))
-    first = _cut_plan(7).levels[2]
-    gme_value(haar_random_pure((3, 2, 2, 2, 2, 2, 2), 4))
-    assert _cut_plan(7).levels[2] is first
-    assert isinstance(first, np.ndarray) and first.shape[0] == 3
-    assert not first.flags.writeable
-    assert _cut_plan.cache_info().maxsize == 32
-
-
 def test_qudit_state_with_unequal_sides_uses_smaller_marginal(monkeypatch):
     # dims (5, 2, 2): the party-1 cut is cheaper on the {2,3} side
     sides = []

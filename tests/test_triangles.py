@@ -9,7 +9,9 @@ from trigme import (EdgeConvention, InternalInvariantError, LocalChannel,
                     f_total, ghz_state, gme_value, haar_random_pure,
                     heron_area_normalized, tensor_product, w_state,
                     all_cut_concurrences)
+from trigme.concurrence import _cut_plan
 from trigme.states import haar_random_unitary
+from trigme.triangles import _level_plan
 from trigme.selftest import permute_parties, random_biseparable
 from oracles import coordinate_area_normalized
 
@@ -238,3 +240,24 @@ def test_gme_value_invariant_under_local_unitaries():
         for conv in (CONC, SQ):
             assert gme_value(rotated, conv) == pytest.approx(
                 gme_value(psi, conv), abs=1e-9)
+
+
+# ------------------------------------------------------------ level plan
+
+def test_plan_arrays_are_shared_not_rebuilt():
+    gme_value(haar_random_pure((2,) * 7, 3))
+    first = _level_plan(7, 2)[1]
+    gme_value(haar_random_pure((3, 2, 2, 2, 2, 2, 2), 4))
+    assert _level_plan(7, 2)[1] is first
+    assert isinstance(first, np.ndarray) and first.shape[0] == 3
+    assert not first.flags.writeable
+    assert _cut_plan.cache_info().maxsize == 32
+    assert _level_plan.cache_info().maxsize == 64
+
+
+def test_inventory_reads_the_cached_level_labels():
+    labels = _level_plan(6, 2)[0]
+    report = f_total(haar_random_pure([2] * 6, 5))
+    level2 = [t.vertex_labels for t in report.triangles if t.level == 2]
+    assert len(level2) == len(labels) == 6 * math.comb(5, 2)
+    assert all(got is want for got, want in zip(level2, labels))
