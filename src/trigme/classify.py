@@ -20,6 +20,7 @@ DEFAULT_TOL = 1e-6
 MARGINAL_FACTOR = 10.0
 MAX_PARTIES = 10
 RECON_CLIP = 1e-2  # the loosest reconstruction check
+_ROW_BLOCK = 1 << 14  # complex entries per compared reconstruction block
 
 __all__ = [
     "Factorization",
@@ -93,15 +94,24 @@ def _reconstruction_error(psi: PureState,
                           factors: list[tuple[int, ...]]) -> float:
     """Max entrywise deviation of the factor-marginal product from
     |psi><psi|, both in block order (the parties of ``factors`` in
-    turn).  Builds D x D arrays, so it is for two or more blocks only."""
+    turn), compared about ``_ROW_BLOCK`` entries at a time: each entry
+    is the one ``np.kron`` and ``np.outer`` give, bit for bit, and no
+    D x D array is built."""
     marginals = [_pure_marginal(psi.amplitudes, psi.dims,
                                 [p - 1 for p in block]) for block in factors]
-    rec = marginals[0]
-    for m in marginals[1:]:
-        rec = np.kron(rec, m)
     amps = psi.amplitudes.reshape(psi.dims).transpose(
         [p - 1 for block in factors for p in block]).reshape(-1)
-    return float(np.max(np.abs(rec - np.outer(amps, amps.conj()))))
+    conj = amps.conj()
+    step = max(1, _ROW_BLOCK // amps.size)
+    err = 0.0
+    for start in range(0, amps.size, step):
+        rows = np.arange(start, min(start + step, amps.size))
+        digits = np.unravel_index(rows, [len(m) for m in marginals])
+        rec = marginals[0][digits[0]]
+        for m, i in zip(marginals[1:], digits[1:]):  # in np.kron's order
+            rec = (rec[:, :, None] * m[i][:, None, :]).reshape(rows.size, -1)
+        err = max(err, float(np.max(np.abs(rec - amps[rows, None] * conj))))
+    return err
 
 
 def finest_factorization(psi: PureState,

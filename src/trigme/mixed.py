@@ -31,8 +31,6 @@ from .concurrence import _cut_plan, _smaller_side
 from .errors import InternalInvariantError, ValidationError
 from .states import DensityMatrix, PureState, _check_rows, _pure_marginal, \
     hermitian_eig
-# gme_value is unused here; the benchmark (perfbench/tracing.py) wraps it
-# by name as an attribute of this module.
 from .triangles import EdgeConvention, GmeReport, ZERO_AREA_TOL, \
     _gme_values, f_total, gme_value
 
@@ -431,14 +429,16 @@ def convex_roof_upper_bound(
                 f"ensemble size {m} < rank {r}: no such decomposition")
 
     def objective(params: np.ndarray) -> float:
-        # m is the ensemble size of the enclosing scope, set before each use
+        # m is the ensemble size of the search loop below
         return _ensemble_value(sub, _isometry(m, r, params), rho.dims,
                                spec.cut, conv)
 
-    # Spectral baseline: all-zero parameters at m = r, the identity.
-    m = r
-    best = (r, np.zeros(_param_count(r, r)))
-    spectral_value = best_value = objective(best[1])
+    # Spectral baseline: all-zero parameters at m = r, the identity,
+    # scored member by member; only the search uses the batched objective.
+    members = _ensemble_members(sub, _isometry(r, r, np.zeros(
+        _param_count(r, r))), rho.dims, spec.cut)
+    spectral_value = best_value = math.fsum(
+        p * gme_value(psi, conv) for p, psi in members)
     history = [best_value]
 
     seed_seq = np.random.SeedSequence(config.seed)
@@ -457,12 +457,10 @@ def convex_roof_upper_bound(
             # incumbent (e.g. the spectral ensemble) wins ties
             if res.fun < best_value - 1e-12:
                 best_value = float(res.fun)
-                best = (m, np.array(res.x))
+                members = _ensemble_members(sub, _isometry(m, r, res.x),
+                                            rho.dims, spec.cut)
             history.append(best_value)
 
-    m_best, params_best = best
-    members = _ensemble_members(sub, _isometry(m_best, r, params_best),
-                                rho.dims, spec.cut)
     decomp = Decomposition(tuple(members))
     err = 0.0 if spec.pure is rho else decomposition_mixture_error(rho, decomp)
     if err > max(MIXTURE_TOL, 3.0 * rho.tol):

@@ -250,10 +250,6 @@ def parse_state_file(path, tol: float = 1e-9) -> PureState | DensityMatrix:
     return parse_state_document(doc, tol=tol, where=str(p))
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def state_document(state: PureState | DensityMatrix,
                    meta: dict | None = None) -> dict:
     """Serialize a typed state into a document object.
@@ -261,12 +257,10 @@ def state_document(state: PureState | DensityMatrix,
     A payload checksum is always recorded under ``meta.checksum``.
     """
     dims = [int(d) for d in state.dims]
-    if isinstance(state, PureState):
-        kind = "pure"
-        data = [_pair(z) for z in state.amplitudes]
-    else:
-        kind = "mixed"
-        data = [[_pair(z) for z in row] for row in state.entries]
+    pure = isinstance(state, PureState)
+    kind = "pure" if pure else "mixed"
+    v = state.amplitudes if pure else state.entries
+    data = np.stack([v.real, v.imag], axis=-1).tolist()
     out_meta = dict(meta or {})
     out_meta["checksum"] = document_checksum(dims, kind, data)
     return {"dims": dims, "kind": kind, "data": data, "meta": out_meta}

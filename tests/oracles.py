@@ -69,6 +69,19 @@ def party_order_reconstruction_error(amps, dims, factors,
     return float(np.max(np.abs(party - np.outer(amps, np.conj(amps)))))
 
 
+def block_order_reconstruction_error(amps, dims, factors,
+                                     marginals) -> float:
+    """The same deviation compared whole in block order: the Kronecker
+    product of ``marginals`` against the D x D outer product of psi with
+    its parties put in the order of ``factors``."""
+    rec = marginals[0]
+    for m in marginals[1:]:
+        rec = np.kron(rec, m)
+    amps = np.asarray(amps).reshape(dims).transpose(
+        [p - 1 for block in factors for p in block]).reshape(-1)
+    return float(np.max(np.abs(rec - np.outer(amps, amps.conj()))))
+
+
 def brute_purity(rho) -> float:
     d = rho.shape[0]
     total = 0.0

@@ -151,3 +151,16 @@ def test_gme_factorization_builds_no_full_matrix():
         tracemalloc.stop()
     assert fact.is_gme
     assert peak < psi.dim * psi.dim  # one D x D complex array is 16x this
+
+
+def test_split_factorization_builds_no_full_matrix():
+    psi = tensor_product([haar_random_pure([2] * 5, 1011),
+                          haar_random_pure([2] * 5, 1012)])
+    tracemalloc.start()
+    try:
+        fact = finest_factorization(psi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fact.factors == ((1, 2, 3, 4, 5), (6, 7, 8, 9, 10))
+    assert peak < 4 * psi.dim * psi.dim  # one D x D complex array is 16x

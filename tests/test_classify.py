@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import trigme.classify
 from trigme import (Cut, PureState, ValidationError,
                     basis_state, f_total, finest_factorization, ghz_state,
                     haar_random_pure, marginal_cuts, partial_trace,
@@ -10,7 +11,8 @@ from trigme import (Cut, PureState, ValidationError,
 from trigme.classify import _reconstruction_error, _refine_blocks
 from trigme.selftest import permute_parties, random_biseparable
 from trigme.states import _pure_marginal
-from oracles import party_order_reconstruction_error
+from oracles import (block_order_reconstruction_error,
+                     party_order_reconstruction_error)
 
 BELL = PureState((2, 2), np.array([1, 0, 0, 1]) / math.sqrt(2))
 
@@ -157,17 +159,41 @@ def _unequal_product():
     return permute_parties(left, [1, 3, 2, 4])
 
 
-@pytest.mark.parametrize("psi, factors", [
+RECONSTRUCTIONS = [
     (_unequal_product(), None),
     (_unequal_product(), [(1, 2), (3, 4)]),
     (haar_random_pure([3, 2, 4, 3], 32), [(2,), (1, 4), (3,)]),
     (haar_random_pure([3, 2, 4, 3], 33), [(4,), (1, 2, 3)]),
-] + [(random_biseparable(6, seed), None) for seed in range(6)])
-def test_block_order_error_equals_party_order_bit_for_bit(psi, factors):
+] + [(random_biseparable(6, seed), None) for seed in range(6)] + [
+    (haar_random_pure([2, 3, 2, 2, 3], 34), [(1,), (2, 4), (3,), (5,)]),
+]
+
+
+def _factor_marginals(psi, factors):
     factors = factors or list(finest_factorization(psi).factors)
     assert len(factors) > 1
-    marginals = [_pure_marginal(psi.amplitudes, psi.dims,
-                                [p - 1 for p in block]) for block in factors]
+    return factors, [_pure_marginal(psi.amplitudes, psi.dims,
+                                    [p - 1 for p in block])
+                     for block in factors]
+
+
+@pytest.mark.parametrize("psi, factors", RECONSTRUCTIONS)
+def test_block_order_error_equals_party_order_bit_for_bit(psi, factors):
+    factors, marginals = _factor_marginals(psi, factors)
     assert _reconstruction_error(psi, factors) == \
         party_order_reconstruction_error(psi.amplitudes, psi.dims, factors,
+                                         marginals)
+
+
+@pytest.mark.parametrize("rows", [1, 5, None], ids=["1-row", "5-rows",
+                                                     "default"])
+@pytest.mark.parametrize("psi, factors", RECONSTRUCTIONS)
+def test_row_blocks_equal_the_whole_kron_bit_for_bit(monkeypatch, psi,
+                                                     factors, rows):
+    if rows is not None:  # 5 rows leave a partial last block
+        assert psi.dim % rows or rows == 1
+        monkeypatch.setattr(trigme.classify, "_ROW_BLOCK", rows * psi.dim)
+    factors, marginals = _factor_marginals(psi, factors)
+    assert _reconstruction_error(psi, factors) == \
+        block_order_reconstruction_error(psi.amplitudes, psi.dims, factors,
                                          marginals)

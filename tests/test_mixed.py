@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -289,6 +290,53 @@ def test_density_matrix_roof_keeps_the_mixture_check(rho, rank,
     convex_roof_upper_bound(rho, CONC, ConvexRoofConfig(restarts=1))
     assert len(mixture_checks) == 1
     assert mixture_checks[0] >= rank
+
+
+@pytest.fixture
+def batched_calls(monkeypatch):
+    """The ensemble size of every batched objective evaluation."""
+    calls = []
+    original = trigme.mixed._ensemble_value
+
+    def counted(sub, iso, dims, tol, conv):
+        calls.append(len(iso))
+        return original(sub, iso, dims, tol, conv)
+
+    monkeypatch.setattr(trigme.mixed, "_ensemble_value", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rho, restarts", [
+    (w_state(4), 2), (haar_random_pure([2] * 6, 62), 1),
+    (ghz_state(3).projector(), 2), (ghz_000_rho(), 0),
+    (classical_mixture(), 0)],
+    ids=["w4", "haar-2^6", "ghz3-projector", "ghz-000-no-search",
+         "classical-no-search"])
+def test_only_the_search_runs_the_batched_objective(rho, restarts,
+                                                    batched_calls):
+    result = convex_roof_upper_bound(rho, CONC,
+                                     ConvexRoofConfig(restarts=restarts))
+    assert batched_calls == []
+    assert result.value == result.spectral_value
+
+
+def test_a_search_runs_the_batched_objective(batched_calls):
+    convex_roof_upper_bound(ghz_000_rho(), CONC,
+                            ConvexRoofConfig(restarts=1, max_iterations=5))
+    assert set(batched_calls) == {2, 3, 4}
+
+
+def test_pure_roof_builds_no_full_matrix():
+    psi = haar_random_pure((2,) * 10, 1)
+    tracemalloc.start()
+    try:
+        result = convex_roof_upper_bound(psi, CONC,
+                                         ConvexRoofConfig(restarts=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.value == pytest.approx(gme_value(psi), abs=1e-12)
+    assert peak < 4 * psi.dim * psi.dim  # one D x D complex array is 16x
 
 
 def test_roof_of_classical_mixture_is_zero():
