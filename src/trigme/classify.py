@@ -1,9 +1,10 @@
 """Separability-structure classification for non-GME pure states.
 
 A vanishing cut concurrence certifies a product structure across that
-bipartition; the common refinement of all such cuts yields the finest
-factorization detectable from the cut table, which, when it has two or
-more blocks, is verified by rebuilding the state from their marginals.
+bipartition; grouping the parties that sit on the same side of every
+such cut yields the finest factorization detectable from the cut table,
+which, when it has two or more blocks, is verified by rebuilding the
+state from their marginals.
 """
 
 from __future__ import annotations
@@ -37,13 +38,11 @@ class Factorization:
     and the cuts within 10x of the threshold (``marginal_cuts``)."""
 
     factors: tuple[tuple[int, ...], ...]
-    is_gme: bool
     marginal_cuts: tuple[Cut, ...]
 
-    def __post_init__(self):
-        if self.is_gme != (len(self.factors) == 1):
-            raise ValidationError("is_gme must hold exactly for a single "
-                                  "factor block")
+    @property
+    def is_gme(self) -> bool:
+        return len(self.factors) == 1
 
 
 def _split_cuts(psi: PureState, tol: float,
@@ -75,21 +74,6 @@ def marginal_cuts(psi: PureState, tol: float = DEFAULT_TOL) -> list[Cut]:
     return _split_cuts(psi, tol, "marginal_cuts")[1]
 
 
-def _refine_blocks(blocks: list[tuple[int, ...]],
-                   subset: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """Split every block against a subset and its complement."""
-    s = set(subset)
-    out = []
-    for block in blocks:
-        inside = tuple(p for p in block if p in s)
-        outside = tuple(p for p in block if p not in s)
-        if inside:
-            out.append(inside)
-        if outside:
-            out.append(outside)
-    return sorted(out)
-
-
 def _reconstruction_error(psi: PureState,
                           factors: list[tuple[int, ...]]) -> float:
     """Max entrywise deviation of the factor-marginal product from
@@ -118,21 +102,21 @@ def finest_factorization(psi: PureState,
                          tol: float = DEFAULT_TOL) -> Factorization:
     """Finest party factorization detectable from vanishing cuts.
 
-    Starting from the single block 1..N, every product cut refines each
-    block against the cut and its complement.  One block is GME and has
-    nothing to rebuild; two or more are verified by checking that the
-    tensor product of their marginals equals |psi><psi| within ``tol``
-    clipped to [1e-6, 1e-2].  The upper clip keeps an absurdly loose cut
-    threshold from hiding its own misclassification: above it a failed
-    reconstruction is the caller's threshold at fault and is refused
-    with ValidationError, at or below it a failure is an
+    A party's signature is the side it takes of every product cut, and
+    the blocks are the sorted classes of equal signatures.  One block is
+    GME and has nothing to rebuild; two or more are verified by checking
+    that the tensor product of their marginals equals |psi><psi| within
+    ``tol`` clipped to [1e-6, 1e-2].  The upper clip keeps an absurdly
+    loose cut threshold from hiding its own misclassification: above it
+    a failed reconstruction is the caller's threshold at fault and is
+    refused with ValidationError, at or below it a failure is an
     InternalInvariantError.  The marginal cuts come from the same table.
     """
-    n = psi.nparties
     product, marginal = _split_cuts(psi, tol, "finest_factorization")
-    blocks = [tuple(range(1, n + 1))]
-    for cut in product:
-        blocks = _refine_blocks(blocks, cut.parties)
+    parties = range(1, psi.nparties + 1)
+    side = {p: tuple(p in cut.parties for cut in product) for p in parties}
+    blocks = sorted({tuple(q for q in parties if side[q] == s)
+                     for s in side.values()})
 
     err = _reconstruction_error(psi, blocks) if len(blocks) > 1 else 0.0
     recon_tol = max(1e-6, min(tol, RECON_CLIP))
@@ -142,4 +126,4 @@ def finest_factorization(psi: PureState,
             f"inconsistent factorization: reconstruction error {err!r} "
             f"exceeds {recon_tol!r} for factors {tuple(blocks)}; the cut "
             f"threshold {tol!r} is likely too loose for this state")
-    return Factorization(tuple(blocks), len(blocks) == 1, tuple(marginal))
+    return Factorization(tuple(blocks), tuple(marginal))

@@ -18,12 +18,14 @@ from pathlib import Path
 from . import __version__
 # all_cut_concurrences and marginal_cuts are unused here; the benchmark
 # (perfbench/tracing.py) wraps them by name as attributes of this module.
-from .classify import DEFAULT_TOL, finest_factorization, marginal_cuts
+from .classify import DEFAULT_TOL, Factorization, finest_factorization, \
+    marginal_cuts
 from .concurrence import all_cut_concurrences, check_polygamy
 from .errors import InternalInvariantError, TrigmeError, ValidationError
 from .mixed import ConvexRoofConfig, _spectrum, convex_roof_upper_bound, \
     witness
-from .reporting import AnalysisReport, canonical_json, emit_report
+from .reporting import AnalysisReport, _subset_text, canonical_json, \
+    emit_report
 from .selftest import run_selftest
 from .states import PureState, haar_random_pure
 from .stateio import parse_state_file, render_state_document
@@ -99,14 +101,20 @@ def _as_pure(state, notices: list[str]) -> PureState:
     return spec.pure
 
 
-def _cmd_analyze(ns) -> int:
+def _factorized(ns) -> tuple[float, PureState, Factorization, list[str]]:
+    """The front of analyze and classify: load the document at ``--tol``,
+    project a rank-1 mixed input, then factorize with product cuts at
+    max(``--tol``, 1e-6).  The factorization comes first: it refuses
+    oversized states before any other table is built."""
     tol = _tolerance(ns.tol)
     notices: list[str] = []
-    state = parse_state_file(ns.file, tol=tol)
-    psi = _as_pure(state, notices)
-    # the factorization first: it refuses oversized states before the
-    # full f_total inventory is built
-    factorization = finest_factorization(psi, tol=max(tol, DEFAULT_TOL))
+    psi = _as_pure(parse_state_file(ns.file, tol=tol), notices)
+    return (tol, psi, finest_factorization(psi, tol=max(tol, DEFAULT_TOL)),
+            notices)
+
+
+def _cmd_analyze(ns) -> int:
+    tol, psi, factorization, notices = _factorized(ns)
     report = AnalysisReport(
         input_digest=_digest(ns.file),
         tolerance=tol,
@@ -179,13 +187,8 @@ def _cmd_convex_roof(ns) -> int:
 
 
 def _cmd_classify(ns) -> int:
-    tol = _tolerance(ns.tol)
-    notices: list[str] = []
-    state = parse_state_file(ns.file, tol=tol)
-    psi = _as_pure(state, notices)
-    fact = finest_factorization(psi, tol=max(tol, DEFAULT_TOL))
-    factors = ",".join("{" + ",".join(str(p) for p in f) + "}"
-                       for f in fact.factors)
+    _, _, fact, notices = _factorized(ns)
+    factors = ",".join(_subset_text(f) for f in fact.factors)
     for notice in notices:
         sys.stdout.write(f"note: {notice}\n")
     sys.stdout.write(f"factors: {factors}\n")

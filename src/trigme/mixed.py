@@ -409,9 +409,10 @@ def convex_roof_upper_bound(
     decomposition seeds the search, so the result never exceeds the
     spectral ensemble average.  Eigenvalues above ``max(rho.tol, 1e-9)``
     make the rank, and the members carry that tolerance.  A PureState
-    is its own one-member decomposition, scored with no search and not
-    checked (the member is the state over its own norm); every other
-    decomposition is checked against ``rho`` entry by entry.
+    is its own one-member decomposition, the state itself at weight 1,
+    scored with no search and not checked, so the bound is its
+    ``gme_value`` exactly; every other decomposition is checked against
+    ``rho`` entry by entry.
     """
     if rho.nparties < 3:
         raise ValidationError(
@@ -433,10 +434,10 @@ def convex_roof_upper_bound(
         return _ensemble_value(sub, _isometry(m, r, params), rho.dims,
                                spec.cut, conv)
 
-    # Spectral baseline: all-zero parameters at m = r, the identity,
-    # scored member by member; only the search uses the batched objective.
-    members = _ensemble_members(sub, _isometry(r, r, np.zeros(
-        _param_count(r, r))), rho.dims, spec.cut)
+    # Spectral baseline: the eigen-ensemble, at rank 1 the spectrum's own
+    # pure state, scored member by member; only the search is batched.
+    members = ([(float(spec.values[0]), spec.pure)] if spec.pure is not None
+               else _ensemble_members(sub, np.eye(r), rho.dims, spec.cut))
     spectral_value = best_value = math.fsum(
         p * gme_value(psi, conv) for p, psi in members)
     history = [best_value]

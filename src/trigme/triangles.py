@@ -257,6 +257,8 @@ def _measure(values: np.ndarray, n: int, conv: EdgeConvention,
                 live[i] = inventory is not None or row[level] != 0.0
         if inventory is not None:
             inventory.append((level, raw[0], areas[0]))
+        elif not any(live):
+            break
     if n == 3:
         return [({1: v}, v) for v in (a[0] if a[0] > ZERO_AREA_TOL else 0.0
                                       for a in areas)]

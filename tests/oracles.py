@@ -82,6 +82,22 @@ def block_order_reconstruction_error(amps, dims, factors,
     return float(np.max(np.abs(rec - np.outer(amps, amps.conj()))))
 
 
+def refine_blocks(blocks, subset) -> list[tuple[int, ...]]:
+    """Split every block against a subset and its complement: applied
+    once per product cut, from the single block 1..N, this is the
+    cut-by-cut common refinement of the product cuts."""
+    s = set(subset)
+    out = []
+    for block in blocks:
+        inside = tuple(p for p in block if p in s)
+        outside = tuple(p for p in block if p not in s)
+        if inside:
+            out.append(inside)
+        if outside:
+            out.append(outside)
+    return sorted(out)
+
+
 def brute_purity(rho) -> float:
     d = rho.shape[0]
     total = 0.0

@@ -8,11 +8,11 @@ from trigme import (Cut, PureState, ValidationError,
                     basis_state, f_total, finest_factorization, ghz_state,
                     haar_random_pure, marginal_cuts, partial_trace,
                     product_cuts, tensor_product, w_state)
-from trigme.classify import _reconstruction_error, _refine_blocks
+from trigme.classify import _reconstruction_error
 from trigme.selftest import permute_parties, random_biseparable
 from trigme.states import _pure_marginal
 from oracles import (block_order_reconstruction_error,
-                     party_order_reconstruction_error)
+                     party_order_reconstruction_error, refine_blocks)
 
 BELL = PureState((2, 2), np.array([1, 0, 0, 1]) / math.sqrt(2))
 
@@ -85,9 +85,35 @@ def test_refinement_is_order_independent():
         order = list(rng.permutation(len(cuts)))
         blocks = [(1, 2, 3, 4)]
         for idx in order:
-            blocks = _refine_blocks(blocks, cuts[idx])
+            blocks = refine_blocks(blocks, cuts[idx])
         expected = expected or blocks
         assert blocks == expected == [(1,), (2,), (3, 4)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_signature_classes_equal_the_cut_by_cut_refinement(monkeypatch,
+                                                           seed):
+    # finest_factorization groups parties by their side of every product
+    # cut; the oracle refines one cut at a time.  The cut sets are drawn
+    # directly, so no state has to realise them: the reconstruction check
+    # is switched off and the blocks alone are compared, in order.
+    monkeypatch.setattr(trigme.classify, "_reconstruction_error",
+                        lambda psi, factors: 0.0)
+    rng = np.random.default_rng(seed)
+    states = {n: haar_random_pure([2] * n, n) for n in range(2, 11)}
+    for _ in range(250):
+        n = int(rng.integers(2, 11))
+        cuts = sorted({Cut.of((1 + rng.choice(n, int(rng.integers(1, n)),
+                                              replace=False)).tolist(), n)
+                       for _ in range(int(rng.integers(0, 7)))})
+        monkeypatch.setattr(trigme.classify, "_split_cuts",
+                            lambda psi, tol, caller: (cuts, []))
+        blocks = [tuple(range(1, n + 1))]
+        for cut in cuts:
+            blocks = refine_blocks(blocks, cut.parties)
+        fact = finest_factorization(states[n])
+        assert list(fact.factors) == blocks
+        assert fact.is_gme == (len(blocks) == 1)
 
 
 def test_consistency_with_f_total_zero_inventory():

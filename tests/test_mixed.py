@@ -255,8 +255,10 @@ def test_roof_of_a_pure_state_is_its_spectral_value(monkeypatch):
     psi = w_state(4)
     result = convex_roof_upper_bound(psi, CONC, ConvexRoofConfig(restarts=2))
     assert result.value == result.spectral_value
-    assert result.value == pytest.approx(gme_value(psi), abs=1e-12)
-    assert len(result.decomposition) == 1
+    assert result.value == gme_value(psi)
+    [(weight, member)] = result.decomposition.members
+    assert weight == 1.0
+    assert member is psi
     assert decomposition_mixture_error(psi, result.decomposition) <= 1e-12
 
 
@@ -335,7 +337,10 @@ def test_pure_roof_builds_no_full_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.value == pytest.approx(gme_value(psi), abs=1e-12)
+    assert result.value == gme_value(psi)
+    [(weight, member)] = result.decomposition.members
+    assert weight == 1.0
+    assert member is psi
     assert peak < 4 * psi.dim * psi.dim  # one D x D complex array is 16x
 
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import trigme.triangles
 from trigme import (EdgeConvention, InternalInvariantError, LocalChannel,
                     PureState, TriangleEdges, ValidationError,
                     apply_local_channel_branches, basis_state, f3, f_level,
@@ -188,6 +189,26 @@ def test_gme_value_matches_f_total():
             for conv in (CONC, SQ):
                 assert gme_value(psi, conv) == pytest.approx(
                     f_total(psi, conv).value, abs=1e-12)
+
+
+def test_gme_value_stops_at_the_first_zero_level(monkeypatch):
+    # party 1 is a product factor, so level 1 already vanishes; gme_value
+    # computes no later level, while f_total still inventories all three
+    psi = tensor_product([haar_random_pure([2], 1),
+                          haar_random_pure([2] * 7, 2)])
+    seen = []
+    original = trigme.triangles._level_areas
+
+    def spy(values, n, level, *args):
+        seen.append(level)
+        return original(values, n, level, *args)
+
+    monkeypatch.setattr(trigme.triangles, "_level_areas", spy)
+    assert gme_value(psi) == 0.0
+    assert seen == [1]
+    seen.clear()
+    assert f_total(psi).value == 0.0
+    assert seen == [1, 2, 3]
 
 
 def test_two_bell_pairs_flag_areas_above_one():
