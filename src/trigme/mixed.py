@@ -408,11 +408,11 @@ def convex_roof_upper_bound(
     decompositions of ``rho`` with random restarts; the spectral
     decomposition seeds the search, so the result never exceeds the
     spectral ensemble average.  Eigenvalues above ``max(rho.tol, 1e-9)``
-    make the rank, and the members carry that tolerance.  A PureState
-    is its own one-member decomposition, the state itself at weight 1,
-    scored with no search and not checked, so the bound is its
-    ``gme_value`` exactly; every other decomposition is checked against
-    ``rho`` entry by entry.
+    make the rank, and the members carry that tolerance.  At rank 1 the
+    decomposition is the spectrum's pure state at weight 1, as the
+    witness scores it, with no search, so the bound is its ``gme_value``
+    exactly; a PureState is that state itself and is not checked, and
+    every other decomposition is checked against ``rho`` entry by entry.
     """
     if rho.nparties < 3:
         raise ValidationError(
@@ -435,8 +435,8 @@ def convex_roof_upper_bound(
                                spec.cut, conv)
 
     # Spectral baseline: the eigen-ensemble, at rank 1 the spectrum's own
-    # pure state, scored member by member; only the search is batched.
-    members = ([(float(spec.values[0]), spec.pure)] if spec.pure is not None
+    # pure state at weight 1; only the search is batched.
+    members = ([(1.0, spec.pure)] if spec.pure is not None
                else _ensemble_members(sub, np.eye(r), rho.dims, spec.cut))
     spectral_value = best_value = math.fsum(
         p * gme_value(psi, conv) for p, psi in members)
@@ -464,7 +464,10 @@ def convex_roof_upper_bound(
 
     decomp = Decomposition(tuple(members))
     err = 0.0 if spec.pure is rho else decomposition_mixture_error(rho, decomp)
-    if err > max(MIXTURE_TOL, 3.0 * rho.tol):
+    # rho is reproduced up to the eigenvalues the rank cut dropped, whose
+    # weight a rank-1 member at weight 1 carries as well
+    dropped = math.fsum(np.abs(spec.values[r:]).tolist())
+    if err > max(MIXTURE_TOL, 3.0 * rho.tol, dropped):
         raise InternalInvariantError(
             f"decomposition fails to reproduce the state: error {err!r}")
     return ConvexRoofResult(best_value, decomp, conv, spectral_value,

@@ -82,7 +82,9 @@ class TriangleEdges:
 
     ``vertex_labels`` holds the three disjoint party subsets (X, Y, Z);
     edge ``a`` belongs to the cut X | YZ, ``b`` to Y | XZ, ``c`` to
-    Z | XY.  Edges must satisfy the triangle inequality within 1e-9.
+    Z | XY.  Edges must satisfy the triangle inequality within 1e-9
+    plus the edges at or below ``ZERO_EDGE_TOL``: a near-zero edge is
+    known only to about its own size.
     """
 
     a: float
@@ -98,14 +100,16 @@ class TriangleEdges:
         combined = [p for v in labels for p in v]
         if len(set(combined)) != len(combined):
             raise ValidationError(f"vertex subsets overlap: {labels}")
-        for e in (self.a, self.b, self.c):
+        edges = (self.a, self.b, self.c)
+        for e in edges:
             if e < 0.0:
                 raise ValidationError(f"negative edge length {e!r}")
-        if max(self.a, self.b, self.c) > self.Q + TRIANGLE_SLACK_TOL:
+        slack = TRIANGLE_SLACK_TOL + sum(e for e in edges
+                                         if e <= ZERO_EDGE_TOL)
+        if max(edges) > self.Q + slack:
             raise InternalInvariantError(
-                "polygamy violated: edge "
-                f"{max(self.a, self.b, self.c)!r} exceeds half-perimeter "
-                f"{self.Q!r} for vertices {self.vertex_labels}")
+                f"polygamy violated: edge {max(edges)!r} exceeds "
+                f"half-perimeter {self.Q!r} for vertices {labels}")
 
     @property
     def Q(self) -> float:
@@ -210,8 +214,12 @@ def _level_areas(values: np.ndarray, n: int, level: int,
     rad = (16.0 / 3.0) * q * gap[:, 0] * gap[:, 1] * gap[:, 2]
     # A vanishing edge forces zero area analytically; rounding noise on
     # a near-zero concurrence otherwise leaks into a spurious tiny area.
-    zero = raw.min(axis=1) <= ZERO_EDGE_TOL
-    bad = ((edges.max(axis=1) > q + TRIANGLE_SLACK_TOL)
+    # Such an edge is known only to about its own size, so it widens the
+    # half-perimeter slack by that much.
+    near = raw <= ZERO_EDGE_TOL
+    zero = near.any(axis=1)
+    slack = TRIANGLE_SLACK_TOL + (edges * near).sum(axis=1)
+    bad = ((edges.max(axis=1) > q + slack)
            | (~zero & (rad < -TRIANGLE_SLACK_TOL)))
     if live is not None and bad.any():
         bad &= np.array(live)[:, None]

@@ -46,40 +46,26 @@ def brute_marginal(amps, dims, keep0) -> np.ndarray:
     return rho
 
 
-def party_order_reconstruction_error(amps, dims, factors,
-                                     marginals) -> float:
-    """Max entrywise deviation of the Kronecker product of ``marginals``
-    (one per block of ``factors``, in that order) from |psi><psi|,
-    compared in party order: every product entry is moved back to the
-    basis index it has over parties 1..N, digit by digit."""
-    order0 = [p - 1 for block in factors for p in block]
-    block_dims = [dims[i] for i in order0]
-    rec = marginals[0]
-    for m in marginals[1:]:
-        rec = np.kron(rec, m)
-    back = []  # party-order index of each block-order index
-    for y in range(len(amps)):
-        digits = dict(zip(order0, index_digits(y, block_dims)))
-        x = 0
-        for i, d in enumerate(dims):
-            x = x * d + digits[i]
-        back.append(x)
-    party = np.empty_like(rec)
-    party[np.ix_(back, back)] = rec
-    return float(np.max(np.abs(party - np.outer(amps, np.conj(amps)))))
-
-
-def block_order_reconstruction_error(amps, dims, factors,
-                                     marginals) -> float:
-    """The same deviation compared whole in block order: the Kronecker
-    product of ``marginals`` against the D x D outer product of psi with
-    its parties put in the order of ``factors``."""
-    rec = marginals[0]
-    for m in marginals[1:]:
-        rec = np.kron(rec, m)
-    amps = np.asarray(amps).reshape(dims).transpose(
-        [p - 1 for block in factors for p in block]).reshape(-1)
-    return float(np.max(np.abs(rec - np.outer(amps, amps.conj()))))
+def product_infidelity(amps, dims, factors) -> float:
+    """1 - <psi| (x)_B P_B |psi>, with P_B the projector on a top
+    eigenvector v_B of the block marginal: the product state over the
+    blocks is summed amplitude by amplitude in party order."""
+    tops = []
+    for block in factors:
+        keep0 = [p - 1 for p in block]
+        vals, vecs = np.linalg.eigh(brute_marginal(amps, dims, keep0))
+        tops.append((keep0, [dims[i] for i in keep0], vecs[:, -1]))
+    overlap = 0.0
+    for x, a in enumerate(amps):
+        digits = index_digits(x, dims)
+        product = 1.0
+        for keep0, keep_dims, v in tops:
+            k = 0
+            for i, d in zip(keep0, keep_dims):
+                k = k * d + digits[i]
+            product *= v[k]
+        overlap += np.conj(product) * a
+    return 1.0 - abs(overlap) ** 2
 
 
 def refine_blocks(blocks, subset) -> list[tuple[int, ...]]:

@@ -8,6 +8,7 @@ import pytest
 
 import trigme.classify
 import trigme.cli
+import trigme.concurrence
 import trigme.triangles
 from trigme import (Cut, PureState, basis_state, f_total, finest_factorization,
                     ghz_state, haar_random_pure, marginal_cuts,
@@ -93,19 +94,21 @@ def test_weakly_entangled_marginal_cut_reaches_the_factorization():
     assert fact.marginal_cuts == (Cut.of((1,), 3), Cut.of((2,), 3))
 
 
-# ---------------------------------------------- reconstruction checks
+# ------------------------------------------------- product-defect checks
 
 @pytest.fixture
-def reconstructions(monkeypatch):
-    """The factor lists of every reconstruction check made."""
+def defects(monkeypatch):
+    """The factor lists of every product-defect check made, each read
+    from the cut table the factorization was split from."""
     calls = []
-    original = trigme.classify._reconstruction_error
+    original = trigme.classify._product_defect
 
-    def counted(psi, factors):
-        calls.append(tuple(factors))
-        return original(psi, factors)
+    def counted(entries, blocks, n):
+        assert len(entries) == len(trigme.concurrence._cut_plan(n).cuts)
+        calls.append(tuple(blocks))
+        return original(entries, blocks, n)
 
-    monkeypatch.setattr(trigme.classify, "_reconstruction_error", counted)
+    monkeypatch.setattr(trigme.classify, "_product_defect", counted)
     return calls
 
 
@@ -113,32 +116,35 @@ def reconstructions(monkeypatch):
     ghz_state(4), w_state(5), haar_random_pure([2] * 6, 7),
     haar_random_pure([3, 2, 2], 8)],
     ids=["ghz4", "w5", "haar-2^6", "haar-3x2x2"])
-def test_gme_state_is_not_reconstructed(psi, reconstructions):
+def test_gme_state_needs_no_defect_check(psi, defects):
     assert finest_factorization(psi).is_gme
-    assert reconstructions == []
+    assert defects == []
 
 
 @pytest.mark.parametrize("psi, tol", [
     (appendix_c_state(), 1e-3), (random_biseparable(5, 0), 1e-6),
     (_weakly_entangled(), 1e-6)], ids=["appendix_c", "biseparable", "weak"])
-def test_split_state_is_reconstructed_once(psi, tol, reconstructions):
+def test_split_state_is_checked_once(monkeypatch, psi, tol, defects):
+    def no_marginal(*args):
+        raise AssertionError("the defect check built a marginal")
+
+    monkeypatch.setattr(trigme.classify, "_pure_marginal", no_marginal)
     fact = finest_factorization(psi, tol)
     assert not fact.is_gme
-    assert reconstructions == [fact.factors]
+    assert defects == [fact.factors]
 
 
 @pytest.mark.parametrize("command", [["analyze", "--json"], ["classify"]])
 @pytest.mark.parametrize("name, extra, calls", [
     ("ghz4.json", [], 0), ("w4.json", [], 0), ("haar-2^6", [], 0),
     ("appendix_c.json", ["--tol", "1e-3"], 1)])
-def test_commands_reconstruct_split_states_only(capsys, tmp_path,
-                                                fixtures_dir,
-                                                reconstructions, command,
-                                                name, extra, calls):
+def test_commands_check_split_states_only(capsys, tmp_path, fixtures_dir,
+                                          defects, command, name, extra,
+                                          calls):
     path = _document(name, tmp_path, fixtures_dir)
     assert run_command([command[0], str(path)] + command[1:] + extra) == 0
     capsys.readouterr()
-    assert len(reconstructions) == calls
+    assert len(defects) == calls
 
 
 def test_gme_factorization_builds_no_full_matrix():

@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 import trigme.classify
-from trigme import (Cut, PureState, ValidationError,
+from trigme import (Cut, InternalInvariantError, PureState, ValidationError,
                     basis_state, f_total, finest_factorization, ghz_state,
                     haar_random_pure, marginal_cuts, partial_trace,
                     product_cuts, tensor_product, w_state)
-from trigme.classify import _reconstruction_error
+from trigme.classify import _product_defect
+from trigme.concurrence import all_cut_concurrences
 from trigme.selftest import permute_parties, random_biseparable
-from trigme.states import _pure_marginal
-from oracles import (block_order_reconstruction_error,
-                     party_order_reconstruction_error, refine_blocks)
+from oracles import (brute_marginal, brute_purity, product_infidelity,
+                     refine_blocks)
 
 BELL = PureState((2, 2), np.array([1, 0, 0, 1]) / math.sqrt(2))
 
@@ -95,10 +95,10 @@ def test_signature_classes_equal_the_cut_by_cut_refinement(monkeypatch,
                                                            seed):
     # finest_factorization groups parties by their side of every product
     # cut; the oracle refines one cut at a time.  The cut sets are drawn
-    # directly, so no state has to realise them: the reconstruction check
+    # directly, so no state has to realise them: the product-defect check
     # is switched off and the blocks alone are compared, in order.
-    monkeypatch.setattr(trigme.classify, "_reconstruction_error",
-                        lambda psi, factors: 0.0)
+    monkeypatch.setattr(trigme.classify, "_product_defect",
+                        lambda entries, blocks, n: 0.0)
     rng = np.random.default_rng(seed)
     states = {n: haar_random_pure([2] * n, n) for n in range(2, 11)}
     for _ in range(250):
@@ -107,7 +107,7 @@ def test_signature_classes_equal_the_cut_by_cut_refinement(monkeypatch,
                                               replace=False)).tolist(), n)
                        for _ in range(int(rng.integers(0, 7)))})
         monkeypatch.setattr(trigme.classify, "_split_cuts",
-                            lambda psi, tol, caller: (cuts, []))
+                            lambda psi, tol, caller: ({}, cuts, []))
         blocks = [tuple(range(1, n + 1))]
         for cut in cuts:
             blocks = refine_blocks(blocks, cut.parties)
@@ -147,11 +147,26 @@ def test_party_cap():
 
 def test_absurd_tolerance_raises_inconsistent_factorization():
     # every GHZ cut falls below a threshold of 2, so the refinement
-    # splits into singletons, which cannot reconstruct the state; a
-    # threshold above the 1e-2 reconstruction clip is the caller's fault
+    # splits into singletons, whose product defect is 3 * 1 / 2; a
+    # threshold above the 1e-2 defect clip is the caller's fault
     with pytest.raises(ValidationError,
                        match="inconsistent factorization"):
         finest_factorization(ghz_state(3), tol=2.0)
+
+
+@pytest.mark.parametrize("tol, error", [
+    (1e-6, InternalInvariantError), (1e-3, InternalInvariantError),
+    (1e-2, InternalInvariantError), (0.011, ValidationError),
+    (5.0, ValidationError)])
+def test_a_failed_defect_check_blames_only_a_threshold_above_the_clip(
+        monkeypatch, tol, error):
+    # at or below the 1e-2 clip the defect must hold: a failure is a bug
+    monkeypatch.setattr(trigme.classify, "_product_defect",
+                        lambda entries, blocks, n: 1.0)
+    psi = tensor_product([BELL, basis_state((2,), (0,))])
+    with pytest.raises(error, match=r"product defect 1\.0 exceeds "
+                       rf"{max(1e-6, min(tol, 1e-2))!r} for factors"):
+        finest_factorization(psi, tol)
 
 
 @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1.0])
@@ -176,7 +191,7 @@ def test_w_state_is_gme_at_default_tolerance():
     assert fact.is_gme
 
 
-# ------------------------------------------------------ reconstruction
+# ------------------------------------------------------ product defect
 
 def _unequal_product():
     # dims (3, 2, 4, 3) with blocks {1,3} and {2,4}: interleaved parties
@@ -185,7 +200,9 @@ def _unequal_product():
     return permute_parties(left, [1, 3, 2, 4])
 
 
-RECONSTRUCTIONS = [
+# factor lists the state splits into (None: its own factorization) and
+# factor lists it does not split into
+FACTORINGS = [
     (_unequal_product(), None),
     (_unequal_product(), [(1, 2), (3, 4)]),
     (haar_random_pure([3, 2, 4, 3], 32), [(2,), (1, 4), (3,)]),
@@ -195,31 +212,61 @@ RECONSTRUCTIONS = [
 ]
 
 
-def _factor_marginals(psi, factors):
+def _defect(psi, factors):
+    entries = all_cut_concurrences(psi, psi.nparties // 2).entries
+    return _product_defect(entries, factors, psi.nparties)
+
+
+@pytest.mark.parametrize("psi, factors", FACTORINGS)
+def test_product_defect_bounds_the_oracle_infidelity(psi, factors):
     factors = factors or list(finest_factorization(psi).factors)
     assert len(factors) > 1
-    return factors, [_pure_marginal(psi.amplitudes, psi.dims,
-                                    [p - 1 for p in block])
-                     for block in factors]
+    oracle = product_infidelity(psi.amplitudes, psi.dims, factors)
+    assert oracle <= _defect(psi, factors) + 1e-12
 
 
-@pytest.mark.parametrize("psi, factors", RECONSTRUCTIONS)
-def test_block_order_error_equals_party_order_bit_for_bit(psi, factors):
-    factors, marginals = _factor_marginals(psi, factors)
-    assert _reconstruction_error(psi, factors) == \
-        party_order_reconstruction_error(psi.amplitudes, psi.dims, factors,
-                                         marginals)
+@pytest.mark.parametrize("psi, factors", FACTORINGS)
+def test_product_defect_is_the_block_marginal_impurity(psi, factors):
+    # C(B|rest)**2 / 2 = 1 - Tr rho_B**2, whichever side of B's cut the
+    # table keeps
+    factors = factors or list(finest_factorization(psi).factors)
+    impurity = math.fsum(
+        1.0 - brute_purity(brute_marginal(psi.amplitudes, psi.dims,
+                                          [p - 1 for p in block]))
+        for block in factors)
+    assert _defect(psi, factors) == pytest.approx(impurity, abs=1e-12)
 
 
-@pytest.mark.parametrize("rows", [1, 5, None], ids=["1-row", "5-rows",
-                                                     "default"])
-@pytest.mark.parametrize("psi, factors", RECONSTRUCTIONS)
-def test_row_blocks_equal_the_whole_kron_bit_for_bit(monkeypatch, psi,
-                                                     factors, rows):
-    if rows is not None:  # 5 rows leave a partial last block
-        assert psi.dim % rows or rows == 1
-        monkeypatch.setattr(trigme.classify, "_ROW_BLOCK", rows * psi.dim)
-    factors, marginals = _factor_marginals(psi, factors)
-    assert _reconstruction_error(psi, factors) == \
-        block_order_reconstruction_error(psi.amplitudes, psi.dims, factors,
-                                         marginals)
+@pytest.mark.parametrize("seed", range(8))
+def test_product_defect_bounds_the_infidelity_of_random_splits(seed):
+    # random dims and a random split into 2-4 blocks, of a state that is
+    # Haar, a product over the split, or a product slightly perturbed
+    rng = np.random.default_rng(seed)
+    for trial in range(6):
+        n = int(rng.integers(3, 6))
+        dims = [int(d) for d in rng.integers(2, 4, size=n)]
+        while math.prod(dims) > 72:
+            dims[int(np.argmax(dims))] -= 1
+        labels = rng.integers(0, int(rng.integers(2, min(n, 4) + 1)), size=n)
+        factors = sorted({tuple((1 + np.flatnonzero(labels == k)).tolist())
+                          for k in labels})
+        if len(factors) < 2:
+            factors = [tuple(range(1, n)), (n,)]
+        seed_k = 100 * seed + trial
+        parts = [haar_random_pure([dims[p - 1] for p in block], seed_k + i)
+                 for i, block in enumerate(factors)]
+        order = [p for block in factors for p in block]
+        psi = permute_parties(tensor_product(parts),
+                              [order.index(p) + 1 for p in range(1, n + 1)])
+        kind = trial % 3
+        if kind == 0:
+            psi = haar_random_pure(dims, seed_k)
+        elif kind == 2:
+            amps = psi.amplitudes + 10.0 ** -rng.uniform(2, 6) * \
+                haar_random_pure(dims, seed_k + 50).amplitudes
+            psi = PureState(tuple(dims), amps / np.linalg.norm(amps))
+        defect = _defect(psi, factors)
+        oracle = product_infidelity(psi.amplitudes, psi.dims, factors)
+        assert oracle <= defect + 1e-12
+        if kind == 1:
+            assert defect < 1e-13 and oracle < 1e-13

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -215,24 +216,62 @@ def test_classify_internal_breach_exits_two(capsys, monkeypatch,
     assert "internal invariant breach" in err
 
 
-@pytest.mark.parametrize("command, fixture, err_value", [
-    ("analyze", "ghz4.json", "0.4999999999999999"),
-    ("classify", "w4.json", "0.31640625"),
+@pytest.mark.parametrize("command, fixture, defect", [
+    ("analyze", "ghz4.json", "2.000000000000001"),
+    ("classify", "w4.json", "1.4999999999999998"),
 ])
 def test_too_loose_product_cut_threshold_exits_one(capsys, fixtures_dir,
                                                    command, fixture,
-                                                   err_value):
+                                                   defect):
     # every cut falls below a threshold of 5, so the factorization splits
-    # into singletons that cannot rebuild the state: the user's threshold
-    # is at fault, not an invariant
+    # into singletons whose marginals are far from pure: the user's
+    # threshold is at fault, not an invariant
     code, out, err = run(capsys, command, str(fixtures_dir / fixture),
                          "--tol", "5")
     assert code == 1
     assert out == ""
     assert err == (
-        f"trigme: error: inconsistent factorization: reconstruction error "
-        f"{err_value} exceeds 0.01 for factors ((1,), (2,), (3,), (4,)); "
+        f"trigme: error: inconsistent factorization: product defect "
+        f"{defect} exceeds 0.01 for factors ((1,), (2,), (3,), (4,)); "
         f"the cut threshold 5.0 is likely too loose for this state\n")
+
+
+@pytest.fixture(scope="module")
+def b65(tmp_path_factory):
+    """A (6,6)|(6,6,6) Haar product, D = 7776: at ``--tol 5`` it splits
+    into five singletons, whose marginals are far from pure."""
+    path = tmp_path_factory.mktemp("b65") / "b65.json"
+    trigme.write_state_file(trigme.tensor_product([
+        haar_random_pure([6, 6], 1), haar_random_pure([6, 6, 6], 2)]), path)
+    return path
+
+
+def test_large_biseparable_state_keeps_its_factors(capsys, b65):
+    code, out, _ = run(capsys, "classify", str(b65))
+    assert code == 0
+    assert out == "factors: {1,2},{3,4,5}\nnot GME\n"
+
+
+@pytest.mark.parametrize("command", ["analyze", "classify"])
+def test_too_loose_threshold_on_a_large_biseparable_state_exits_one(
+        capsys, b65, command):
+    # all five singletons pass as product cuts at 5, though parties 1 and
+    # 2 are entangled; each singleton marginal is far from pure
+    psi = parse_state_file(b65)
+    table = trigme.all_cut_concurrences(psi, 2).entries
+    defect = math.fsum(table[trigme.Cut.of((p,), 5)] ** 2
+                       for p in range(1, 6)) / 2
+    code, out, err = run(capsys, command, str(b65), "--tol", "5")
+    assert code == 1
+    assert out == ""
+    match = re.fullmatch(
+        r"trigme: error: inconsistent factorization: product defect "
+        r"(\S+) exceeds 0\.01 for factors \(\(1,\), \(2,\), \(3,\), "
+        r"\(4,\), \(5,\)\); the cut threshold 5\.0 is likely too loose "
+        r"for this state\n", err)
+    assert match
+    assert float(match[1]) == pytest.approx(defect, rel=1e-12)
+    assert defect > 3.0
 
 
 @pytest.mark.parametrize("command", ["analyze", "classify"])

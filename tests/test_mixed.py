@@ -262,6 +262,31 @@ def test_roof_of_a_pure_state_is_its_spectral_value(monkeypatch):
     assert decomposition_mixture_error(psi, result.decomposition) <= 1e-12
 
 
+@pytest.mark.parametrize("seed, noise, tol", [
+    (3, 1e-7, 1e-7), (3, 1e-7, 1e-8), (1, 0.04, 3e-3)])
+def test_rank_one_density_matrix_roof_equals_its_witness(seed, noise, tol):
+    # 15 dropped eigenvalues of noise / 16 each: the member used to keep
+    # the top eigenvalue as its weight, read 0.85102712... for seed 3 at
+    # 1e-7 and failed the weight-sum check at 1e-8; at weight 1 the
+    # mixture check allows what the rank cut dropped (9e-3 for seed 1)
+    psi = haar_random_pure([2] * 4, seed)
+    entries = (1 - noise) * psi.projector().entries + noise * np.eye(16) / 16
+    rho = DensityMatrix((2,) * 4, entries, tol=tol)
+    result = convex_roof_upper_bound(rho, CONC, ConvexRoofConfig(restarts=1))
+    assert result.value == result.spectral_value == witness(rho, CONC).value
+    assert result.value == pytest.approx(gme_value(psi), abs=1e-12)
+    [(weight, member)] = result.decomposition.members
+    assert weight == 1.0
+
+
+def test_rank_one_roof_is_bit_for_bit_at_both_tolerances():
+    psi = haar_random_pure([2] * 4, 3)
+    entries = 0.9999999 * psi.projector().entries + 1e-7 * np.eye(16) / 16
+    assert {convex_roof_upper_bound(DensityMatrix((2,) * 4, entries, tol=tol),
+                                    CONC, ConvexRoofConfig(restarts=1)).value
+            for tol in (1e-7, 1e-8)} == {0.8510272095104553}
+
+
 @pytest.fixture
 def mixture_checks(monkeypatch):
     """The decompositions checked against their state."""

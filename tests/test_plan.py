@@ -18,7 +18,7 @@ from trigme import (EdgeConvention, InternalInvariantError,
                     all_cut_concurrences, f_level, f_total, ghz_state,
                     gme_value, haar_random_pure, heron_area_normalized,
                     tensor_product, w_state)
-from trigme.triangles import ZERO_EDGE_TOL, _measure
+from trigme.triangles import ZERO_EDGE_TOL, TriangleEdges, _measure
 from trigme.concurrence import (CutConcurrenceTable, _cut_concurrences,
                                 _cut_plan)
 from trigme.states import Cut
@@ -162,6 +162,29 @@ def test_vanishing_edge_exempts_the_radicand_check(monkeypatch):
     rep = f_total(ghz_state(3))
     assert rep.value == 0.0
     assert rep.zero_triangles[0].zero_edges == ((1,),)
+
+
+@pytest.mark.parametrize("conv", BOTH)
+def test_product_of_three_blocks_passes_the_polygamy_checks(conv):
+    # the ((3,), (1, 2), (4, 5, 6)) triangle's edges are product-cut noise
+    # of about 2e-8, whose half-perimeter gap exceeds the 1e-9 slack
+    psi = tensor_product([haar_random_pure([2, 2], 4),
+                          haar_random_pure([2], 5),
+                          haar_random_pure([2, 2, 2], 6)])
+    assert gme_value(psi, conv) == f_total(psi, conv).value == 0.0
+
+
+def test_near_zero_edges_widen_the_slack_by_their_size():
+    labels = ((3,), (1, 2), (4, 5, 6))
+    edges = TriangleEdges(2.5809568279517847e-08, 0.0,
+                          2.1073424255447017e-08, labels)
+    assert heron_area_normalized(edges, EdgeConvention.CONCURRENCE) == 0.0
+    # an edge of 1e-7 buys 1e-7 of slack, not more
+    with pytest.raises(InternalInvariantError, match="polygamy violated"):
+        TriangleEdges(1e-7, 1.0, 1.0 + 5e-7, labels)
+    values = np.array([[1e-7, 1.0, 1.0 + 5e-7]])  # cuts (1,), (2,), (3,)
+    with pytest.raises(InternalInvariantError, match="polygamy violated"):
+        _measure(values, 3, EdgeConvention.CONCURRENCE)
 
 
 def test_rows_stopped_at_a_zero_level_skip_the_later_checks():
