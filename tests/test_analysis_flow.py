@@ -95,6 +95,9 @@ def test_weakly_entangled_marginal_cut_reaches_the_factorization():
 
 
 # ------------------------------------------------- product-defect checks
+# A factorization of two or more blocks is checked against the state
+# ("reconstructed" in the test names) by its product defect, once; a GME
+# state needs no check.
 
 @pytest.fixture
 def defects(monkeypatch):
@@ -116,7 +119,7 @@ def defects(monkeypatch):
     ghz_state(4), w_state(5), haar_random_pure([2] * 6, 7),
     haar_random_pure([3, 2, 2], 8)],
     ids=["ghz4", "w5", "haar-2^6", "haar-3x2x2"])
-def test_gme_state_needs_no_defect_check(psi, defects):
+def test_gme_state_is_not_reconstructed(psi, defects):
     assert finest_factorization(psi).is_gme
     assert defects == []
 
@@ -124,7 +127,8 @@ def test_gme_state_needs_no_defect_check(psi, defects):
 @pytest.mark.parametrize("psi, tol", [
     (appendix_c_state(), 1e-3), (random_biseparable(5, 0), 1e-6),
     (_weakly_entangled(), 1e-6)], ids=["appendix_c", "biseparable", "weak"])
-def test_split_state_is_checked_once(monkeypatch, psi, tol, defects):
+def test_split_state_is_reconstructed_once(monkeypatch, psi, tol,
+                                           defects):
     def no_marginal(*args):
         raise AssertionError("the defect check built a marginal")
 
@@ -138,9 +142,9 @@ def test_split_state_is_checked_once(monkeypatch, psi, tol, defects):
 @pytest.mark.parametrize("name, extra, calls", [
     ("ghz4.json", [], 0), ("w4.json", [], 0), ("haar-2^6", [], 0),
     ("appendix_c.json", ["--tol", "1e-3"], 1)])
-def test_commands_check_split_states_only(capsys, tmp_path, fixtures_dir,
-                                          defects, command, name, extra,
-                                          calls):
+def test_commands_reconstruct_split_states_only(capsys, tmp_path,
+                                                fixtures_dir, defects,
+                                                command, name, extra, calls):
     path = _document(name, tmp_path, fixtures_dir)
     assert run_command([command[0], str(path)] + command[1:] + extra) == 0
     capsys.readouterr()
