@@ -235,36 +235,28 @@ class PolygamyReport:
 
 
 def check_polygamy(psi: PureState) -> PolygamyReport:
-    """Evaluate every polygamy inequality slack for a pure state."""
+    """Evaluate every polygamy inequality slack for a pure state.
+
+    Reads the cut table up to pairs; the linear entropy
+    ``1 - Tr(rho_S^2)`` of a side S is ``C_S^2 / 2``.
+    """
     n = psi.nparties
     if n < 3:
         raise ValidationError("polygamy checks need at least 3 parties")
-
-    amps, dims = psi.amplitudes, psi.dims
-    single_purity = {i: _subset_purity(amps, dims, [i - 1])
-                     for i in range(1, n + 1)}
-    pair_purity = {(i, j): _subset_purity(amps, dims, [i - 1, j - 1])
-                   for i, j in combinations(range(1, n + 1), 2)}
-
-    conc = {i: math.sqrt(max(0.0, 2.0 * (1.0 - single_purity[i])))
-            for i in range(1, n + 1)}
-    conc_sq = {i: conc[i] ** 2 for i in conc}
+    table = all_cut_concurrences(psi, min(2, n // 2))
+    conc = {i: table.value((i,)) for i in range(1, n + 1)}
+    conc_sq = {i: c * c for i, c in conc.items()}
 
     squared = {i: sum(conc_sq[j] for j in conc_sq if j != i) - conc_sq[i]
-               for i in range(1, n + 1)}
+               for i in conc}
     plain = {i: sum(conc[j] for j in conc if j != i) - conc[i]
-             for i in range(1, n + 1)}
+             for i in conc}
 
-    lin_ent = {}
-    for (i, j), pp in pair_purity.items():
-        t_i = 1.0 - single_purity[i]
-        t_j = 1.0 - single_purity[j]
-        t_ij = 1.0 - pp
+    lin_ent, triangle = {}, {}
+    for i, j in combinations(conc, 2):
+        c_ij = table.value((i, j))
+        t_i, t_j, t_ij = conc_sq[i] / 2, conc_sq[j] / 2, c_ij * c_ij / 2
         lin_ent[(i, j)] = (t_ij - abs(t_i - t_j), t_i + t_j - t_ij)
-
-    triangle = {}
-    for (i, j), pp in pair_purity.items():
-        c_ij = math.sqrt(max(0.0, 2.0 * (1.0 - pp)))
         triangle[(i, j)] = (conc[i] + conc[j] - c_ij,
                             c_ij + conc[j] - conc[i],
                             c_ij + conc[i] - conc[j])

@@ -9,8 +9,8 @@ half-perimeter.  Two edge conventions are supported:
 * ``SQUARED``: edges are squared concurrences and e = 1/4.
 
 The polygamy inequalities guarantee the triangle inequality for the
-edges under both conventions, so a negative Heron radicand beyond
-tolerance signals an upstream bug and raises.
+edges under both conventions, so a breach beyond tolerance signals an
+upstream bug and raises; one kernel judges and measures every triangle.
 
 The level-l measure geometrically averages the areas of all tripartitions
 ``{i} | S | rest`` with |S| = l over ordered pairs (i, S); the total
@@ -78,13 +78,12 @@ class EdgeConvention(Enum):
 
 @dataclass(frozen=True)
 class TriangleEdges:
-    """Edge lengths of one concurrence triangle.
+    """Edge lengths of one concurrence triangle, as a record.
 
     ``vertex_labels`` holds the three disjoint party subsets (X, Y, Z);
     edge ``a`` belongs to the cut X | YZ, ``b`` to Y | XZ, ``c`` to
-    Z | XY.  Edges must satisfy the triangle inequality within 1e-9
-    plus the edges at or below ``ZERO_EDGE_TOL``: a near-zero edge is
-    known only to about its own size.
+    Z | XY.  Edges are finite and nonnegative; the polygamy rule needs
+    the edge convention, so it is judged where the triangle is measured.
     """
 
     a: float
@@ -100,16 +99,10 @@ class TriangleEdges:
         combined = [p for v in labels for p in v]
         if len(set(combined)) != len(combined):
             raise ValidationError(f"vertex subsets overlap: {labels}")
-        edges = (self.a, self.b, self.c)
-        for e in edges:
-            if e < 0.0:
-                raise ValidationError(f"negative edge length {e!r}")
-        slack = TRIANGLE_SLACK_TOL + sum(e for e in edges
-                                         if e <= ZERO_EDGE_TOL)
-        if max(edges) > self.Q + slack:
-            raise InternalInvariantError(
-                f"polygamy violated: edge {max(edges)!r} exceeds "
-                f"half-perimeter {self.Q!r} for vertices {labels}")
+        for name, e in zip("abc", (self.a, self.b, self.c)):
+            if not 0.0 <= e < math.inf:
+                raise ValidationError(f"edge {name} is {e!r}: edges must "
+                                      "be finite and nonnegative")
 
     @property
     def Q(self) -> float:
@@ -169,17 +162,14 @@ def heron_area_normalized(edges: TriangleEdges,
                           conv: EdgeConvention) -> float:
     """Normalized Heron area ``[(16/3) Q prod(Q - edge)]**exponent``.
 
-    The radicand is clamped at zero when it is within 1e-9 of zero;
-    a radicand below -1e-9 raises ``InternalInvariantError`` since the
-    polygamy inequalities forbid it for edges derived from a state.
+    The measures' own kernel on one triangle, whose concurrences are
+    the edges, or their square roots under ``SQUARED``: the same zero
+    edge rule, the same slack, and a breach raises the same
+    ``InternalInvariantError``.
     """
-    q = edges.Q
-    rad = (16.0 / 3.0) * q * (q - edges.a) * (q - edges.b) * (q - edges.c)
-    if rad < -TRIANGLE_SLACK_TOL:
-        raise InternalInvariantError(
-            f"polygamy violated: Heron radicand {rad!r} < -1e-9 for "
-            f"vertices {edges.vertex_labels}")
-    return max(rad, 0.0) ** conv.exponent
+    edge = np.array([[[edges.a], [edges.b], [edges.c]]], float)
+    raw = edge if conv is EdgeConvention.CONCURRENCE else np.sqrt(edge)
+    return _heron(raw, edge, conv, [edges.vertex_labels])[0][0]
 
 
 @lru_cache(maxsize=64)  # one per (number of parties, level)
@@ -200,15 +190,13 @@ def _level_plan(nparties: int, level: int) -> tuple[tuple, np.ndarray]:
     return labels, pos
 
 
-def _level_areas(values: np.ndarray, n: int, level: int,
-                 conv: EdgeConvention, live: list[bool] | None = None
-                 ) -> tuple[np.ndarray, list[list[float]]]:
-    """Raw edge concurrences (m, 3, T) and areas (m lists of T) of a
-    level, from rows of cut concurrences (m, K) in plan order.  A breach
-    raises unless its row is marked False in ``live``."""
-    labels, pos = _level_plan(n, level)
-    raw = values[:, pos]
-    edges = raw if conv is EdgeConvention.CONCURRENCE else raw * raw
+def _heron(raw: np.ndarray, edges: np.ndarray, conv: EdgeConvention,
+           labels, live: list[bool] | None = None) -> list[list[float]]:
+    """Areas (m lists of T) of triangles with edge concurrences ``raw``
+    and ``conv`` edges ``edges``, both (m, 3, T), vertices ``labels``.
+    The longest edge may pass the half-perimeter by 1e-9 and the
+    radicand fall to -1e-9; a breach raises unless its row is marked
+    False in ``live``."""
     q = 0.5 * (edges[:, 0] + edges[:, 1] + edges[:, 2])
     gap = q[:, None] - edges  # Q - a, Q - b, Q - c
     rad = (16.0 / 3.0) * q * gap[:, 0] * gap[:, 1] * gap[:, 2]
@@ -230,8 +218,18 @@ def _level_areas(values: np.ndarray, n: int, level: int,
             f"Heron radicand {rad[i, k].item()!r}, for vertices {labels[k]}")
     rad[zero] = 0.0
     e = conv.exponent
-    return raw, [[r ** e for r in row] for row in
-                 np.maximum(rad, 0.0).tolist()]
+    return [[r ** e for r in row] for row in np.maximum(rad, 0.0).tolist()]
+
+
+def _level_areas(values: np.ndarray, n: int, level: int,
+                 conv: EdgeConvention, live: list[bool] | None = None
+                 ) -> tuple[np.ndarray, list[list[float]]]:
+    """Raw edge concurrences (m, 3, T) and ``_heron`` areas (m lists of
+    T) of a level, from rows of cut concurrences (m, K) in plan order."""
+    labels, pos = _level_plan(n, level)
+    raw = values[:, pos]
+    edges = raw if conv is EdgeConvention.CONCURRENCE else raw * raw
+    return raw, _heron(raw, edges, conv, labels, live)
 
 
 def _geometric_mean(values: list[float], floor: float) -> float:

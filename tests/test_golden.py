@@ -4,8 +4,10 @@ The golden files pin the exact output of the pure-state pipeline: the
 ``analyze --json`` report of every shipped pure or rank-1 fixture and
 of two seeded 3-party Haar states, the
 ``witness --json`` outcome of the two mixed fixtures, the text and
-``witness --json`` reports of the GHZ4 and W4 pure documents, ``repr`` of
-``gme_value`` on seeded Haar states under both edge conventions, and
+``witness --json`` reports of the GHZ4 and W4 pure documents, the
+``check-inequalities`` summary on seeded 2^4 and 3x3x3 Haar states,
+``repr`` of ``gme_value`` on seeded Haar states under both edge
+conventions, and
 ``repr`` of every number a small convex-roof search returns (value,
 spectral value, history and decomposition weights).  Each
 CLI golden holds the exit code, stdout and stderr, so a refusal (the
@@ -56,7 +58,12 @@ WITNESS_CASES = {
     f"witness-{name}": ["witness", name + ".json", "--json"]
     for name in ("appendix_e", "appendix_e_alt")
 }
-CLI_CASES = {**ANALYZE_CASES, **WITNESS_CASES}
+CHECK_CASES = {
+    "check-inequalities-2x2x2x2": ["check-inequalities", "--dims", "2,2,2,2",
+                                   "--trials", "4"],
+    "check-inequalities-3x3x3": ["check-inequalities", "--dims", "3,3,3"],
+}
+CLI_CASES = {**ANALYZE_CASES, **WITNESS_CASES, **CHECK_CASES}
 # A pure document is scored as loaded; each file holds the text report
 # followed by the --json one.
 PURE_WITNESS_CASES = {
@@ -102,7 +109,8 @@ def cli_output(argv: list[str]) -> str:
     argv = list(argv)
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
-        argv[1] = state_path(argv[1], tmp)
+        if argv[1].endswith(".json"):
+            argv[1] = state_path(argv[1], tmp)
         with redirect_stdout(out), redirect_stderr(err):
             code = run_command(argv)
     # the state file's path is machine-specific; its name is not

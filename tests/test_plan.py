@@ -18,7 +18,7 @@ from trigme import (EdgeConvention, InternalInvariantError,
                     all_cut_concurrences, f_level, f_total, ghz_state,
                     gme_value, haar_random_pure, heron_area_normalized,
                     tensor_product, w_state)
-from trigme.triangles import ZERO_EDGE_TOL, TriangleEdges, _measure
+from trigme.triangles import TriangleEdges, _measure
 from trigme.concurrence import (CutConcurrenceTable, _cut_concurrences,
                                 _cut_plan)
 from trigme.states import Cut
@@ -67,13 +67,9 @@ def test_triangle_areas_match_coordinate_oracle(dims):
                                  haar_random_pure((3, 2, 4, 2), 34),
                                  random_biseparable(6, 35)])
 def test_vectorised_areas_equal_the_scalar_heron_path_bit_for_bit(psi):
-    table = all_cut_concurrences(psi, psi.nparties // 2)
     for conv in BOTH:
         for tri in f_total(psi, conv).triangles:
-            raw = [table.value(v) for v in tri.vertex_labels]
-            want = (0.0 if min(raw) <= ZERO_EDGE_TOL
-                    else heron_area_normalized(tri.edges, conv))
-            assert tri.area == want
+            assert tri.area == heron_area_normalized(tri.edges, conv)
 
 
 def test_cut_counts_follow_closed_form():
@@ -180,11 +176,23 @@ def test_near_zero_edges_widen_the_slack_by_their_size():
                           2.1073424255447017e-08, labels)
     assert heron_area_normalized(edges, EdgeConvention.CONCURRENCE) == 0.0
     # an edge of 1e-7 buys 1e-7 of slack, not more
+    edges = TriangleEdges(1e-7, 1.0, 1.0 + 5e-7, labels)
     with pytest.raises(InternalInvariantError, match="polygamy violated"):
-        TriangleEdges(1e-7, 1.0, 1.0 + 5e-7, labels)
+        heron_area_normalized(edges, EdgeConvention.CONCURRENCE)
     values = np.array([[1e-7, 1.0, 1.0 + 5e-7]])  # cuts (1,), (2,), (3,)
     with pytest.raises(InternalInvariantError, match="polygamy violated"):
         _measure(values, 3, EdgeConvention.CONCURRENCE)
+
+
+def test_a_hand_built_squared_triangle_gets_the_stage_slack():
+    # the squared edge 5e-7 is a concurrence of about 7e-4, far above
+    # ZERO_EDGE_TOL, so it widens the slack neither here nor in the stage
+    squared = [5e-7, 0.5, 0.5 + 1e-6]
+    edges = TriangleEdges(*squared, ((1,), (2,), (3,)))
+    with pytest.raises(InternalInvariantError, match="polygamy violated"):
+        heron_area_normalized(edges, EdgeConvention.SQUARED)
+    with pytest.raises(InternalInvariantError, match="polygamy violated"):
+        _measure(np.sqrt([squared]), 3, EdgeConvention.SQUARED)
 
 
 def test_rows_stopped_at_a_zero_level_skip_the_later_checks():

@@ -78,11 +78,21 @@ def test_heron_symmetric_under_edge_permutation():
 
 
 def test_heron_rejects_polygamy_violations():
-    with pytest.raises(InternalInvariantError, match="polygamy violated"):
-        edges(1.0, 1.0, 2.5)
+    for conv in (CONC, SQ):
+        with pytest.raises(InternalInvariantError, match="polygamy violated"):
+            heron_area_normalized(edges(1.0, 1.0, 2.5), conv)
     # slack within tolerance clamps to zero instead of raising
     tri = TriangleEdges(1.0, 1.0, 2.0 + 5e-11, VERTS3)
     assert heron_area_normalized(tri, CONC) == 0.0
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-300])
+@pytest.mark.parametrize("position", range(3))
+def test_edges_must_be_finite_and_nonnegative(bad, position):
+    lengths = [1.0, 1.0, 1.0]
+    lengths[position] = bad
+    with pytest.raises(ValidationError, match=f"edge {'abc'[position]} is"):
+        edges(*lengths)
 
 
 # ----------------------------------------------------------------- f3
