@@ -156,7 +156,7 @@ def _cmd_witness(ns) -> int:
 
 
 def _cmd_convex_roof(ns) -> int:
-    state = parse_state_file(ns.file, tol=LOAD_TOL)
+    state = parse_state_file(ns.file, tol=_tolerance(ns.tol))
     seed = _seed(ns.seed)
     sizes = None if ns.ensemble_size is None else (ns.ensemble_size,)
     config = ConvexRoofConfig(ensemble_sizes=sizes, restarts=ns.restarts,
@@ -277,6 +277,9 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int)
     p.add_argument("--ensemble-size", type=int,
                    help="fixed decomposition size (default: rank .. rank+2)")
+    p.add_argument("--tol", type=float, default=LOAD_TOL,
+                   help="load/validation tolerance; eigenvalues at or "
+                        "below it (or 1e-9) do not count toward the rank")
     p.add_argument("--json", action="store_true")
     p.set_defaults(handler=_cmd_convex_roof)
 

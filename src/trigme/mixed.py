@@ -15,8 +15,10 @@ matrices with orthonormal columns acting on the spectral ensemble;
 every decomposition of rho arises this way.  The ensemble average is
 minimized by derivative-free local search (an in-house adaptive
 Nelder-Mead over Givens rotation angles and column phases) with random
-restarts.  The result is an upper bound on the convex roof, never
-claimed optimal, and never worse than the spectral decomposition.
+restarts; the searches of one restart index, one per ensemble size,
+advance together and share one objective pass per round.  The result is
+an upper bound on the convex roof, never claimed optimal, and never
+worse than the spectral decomposition.
 """
 
 from __future__ import annotations
@@ -303,11 +305,14 @@ ZDELT = 0.00025  # its absolute offset where the coordinate is zero
 MinimizeResult = namedtuple("MinimizeResult", "x fun nit nfev success")
 
 
-def minimize(fun, x0: np.ndarray, max_iterations: int) -> MinimizeResult:
+def _nelder_mead(x0: np.ndarray, max_iterations: int):
     """Adaptive Nelder-Mead (Gao & Han, Comput. Optim. Appl. 51, 259
-    (2012)) from the axis simplex around ``x0``.
+    (2012)) from the axis simplex around ``x0``, as a generator.
 
-    It does the arithmetic of ``scipy.optimize.minimize(fun, x0,
+    It yields each batch of points (k, n) it needs, is sent their k
+    values, and returns a ``MinimizeResult``.  The caller scores the
+    points before it resumes the search, which may overwrite them.  The
+    arithmetic is that of ``scipy.optimize.minimize(fun, x0,
     method="Nelder-Mead", options={"maxiter": max_iterations, "xatol":
     XATOL, "fatol": FATOL, "adaptive": True})`` in scipy 1.17's order, so
     every result is the same bit for bit.  ``success`` is False when the
@@ -319,7 +324,7 @@ def minimize(fun, x0: np.ndarray, max_iterations: int) -> MinimizeResult:
     sim = np.tile(x0, (n + 1, 1))
     axes = np.arange(n)
     sim[axes + 1, axes] = np.where(x0 != 0, (1 + NONZDELT) * x0, ZDELT)
-    fsim = np.array([fun(x) for x in sim], dtype=float)
+    fsim = np.array((yield sim), dtype=float)
     nfev = n + 1
     for _ in range(2):  # scipy sorts twice here; ties may swap each time
         order = np.argsort(fsim)
@@ -331,31 +336,31 @@ def minimize(fun, x0: np.ndarray, max_iterations: int) -> MinimizeResult:
             break
         xbar = sim[:-1].sum(0) / n
         xr = 2 * xbar - sim[-1]
-        fxr = fun(xr)
+        [fxr] = yield xr[None]
         nfev += 1
         step = None
         if fxr < fsim[0]:
             xe = (1 + chi) * xbar - chi * sim[-1]
-            fxe = fun(xe)
+            [fxe] = yield xe[None]
             nfev += 1
             step = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             step = (xr, fxr)
         elif fxr < fsim[-1]:  # outside contraction
             xc = (1 + psi) * xbar - psi * sim[-1]
-            fxc = fun(xc)
+            [fxc] = yield xc[None]
             nfev += 1
             if fxc <= fxr:
                 step = (xc, fxc)
         else:  # inside contraction
             xcc = (1 - psi) * xbar + psi * sim[-1]
-            fxcc = fun(xcc)
+            [fxcc] = yield xcc[None]
             nfev += 1
             if fxcc < fsim[-1]:
                 step = (xcc, fxcc)
         if step is None:  # shrink towards the best vertex
             sim[1:] = sim[0] + sigma * (sim[1:] - sim[0])
-            fsim[1:] = [fun(x) for x in sim[1:]]
+            fsim[1:] = yield sim[1:]
             nfev += n
         else:
             sim[-1], fsim[-1] = step
@@ -366,34 +371,88 @@ def minimize(fun, x0: np.ndarray, max_iterations: int) -> MinimizeResult:
                           nit < max_iterations)
 
 
-def _ensemble(sub: np.ndarray, iso: np.ndarray, dims: tuple[int, ...],
-              tol: float) -> tuple[list[float], np.ndarray]:
-    """Weights p_i and the validated stack (m, D) of normalized members
-    psi_i of the decomposition induced by an isometry."""
+def minimize(fun, x0: np.ndarray, max_iterations: int) -> MinimizeResult:
+    """``_nelder_mead`` with every point scored by ``fun`` in turn."""
+    search = _nelder_mead(x0, max_iterations)
+    points = next(search)
+    while True:
+        try:
+            points = search.send([fun(x) for x in points])
+        except StopIteration as done:
+            return done.value
+
+
+def _lockstep(searches: dict, score):
+    """Advance the ``_nelder_mead`` searches ``{key: (m, search)}``
+    together, one ``score`` call per round on the (m, point) pairs every
+    live search is waiting for; yields (key, result) as each finishes."""
+    pending = {key: next(search) for key, (_, search) in searches.items()}
+    while pending:
+        values = iter(score([(searches[key][0], x)
+                             for key, points in pending.items()
+                             for x in points]))
+        for key, points in list(pending.items()):
+            sent = [next(values) for _ in points]
+            try:
+                pending[key] = searches[key][1].send(sent)
+            except StopIteration as done:
+                del pending[key]
+                yield key, done.value
+
+
+_ROW_BUDGET = 2 ** 16  # member rows x cuts x D per objective pass
+
+
+def _ensemble(sub: np.ndarray, iso: np.ndarray
+              ) -> tuple[list[float], np.ndarray]:
+    """Weights p_i and the stack (m, D) of normalized members psi_i of
+    the decomposition induced by an isometry, not yet checked."""
     raw = (sub @ iso.T).T  # row i = unnormalized member i
     weights = [float(np.vdot(row, row).real) for row in raw]
     kept = [i for i, p in enumerate(weights) if p >= WEIGHT_FLOOR]
     weights = [weights[i] for i in kept]
-    members = raw[kept] / np.sqrt(weights)[:, None]
-    _check_rows(dims, members, tol)
-    return weights, members
+    return weights, raw[kept] / np.sqrt(weights)[:, None]
 
 
-def _ensemble_value(sub: np.ndarray, iso: np.ndarray, dims: tuple[int, ...],
-                    tol: float, conv: EdgeConvention) -> float:
-    """``sum_i p_i F(psi_i)`` over the decomposition induced by an
-    isometry, every member scored in one batched pass; equal bit for bit
-    to the sum of ``gme_value`` over ``_ensemble_members``."""
-    weights, members = _ensemble(sub, iso, dims, tol)
-    return math.fsum(p * v for p, v in
-                     zip(weights, _gme_values(members, dims, conv)))
+def _ensemble_values(sub: np.ndarray, isometries: list[np.ndarray],
+                     dims: tuple[int, ...], tol: float,
+                     conv: EdgeConvention) -> list[float]:
+    """``sum_i p_i F(psi_i)`` over the decomposition induced by each
+    isometry; equal bit for bit to the sum of ``gme_value`` over
+    ``_ensemble_members``.
+
+    The members of consecutive isometries are checked and scored
+    together, in passes of at most max(largest size, _ROW_BUDGET //
+    (cuts x D)) rows; each isometry's members are built on their own,
+    since one product over the stacked isometries may round differently.
+    """
+    cap = max(max(map(len, isometries)), _ROW_BUDGET // (
+        len(_cut_plan(len(dims)).cuts) * math.prod(dims)))
+    passes, rows = [[]], 0
+    for iso in isometries:
+        if rows + len(iso) > cap:
+            passes.append([])
+            rows = 0
+        passes[-1].append(iso)
+        rows += len(iso)
+    values: list[float] = []
+    for chunk in passes:
+        ensembles = [_ensemble(sub, iso) for iso in chunk]
+        members = np.concatenate([block for _, block in ensembles])
+        _check_rows(dims, members, tol)
+        scores = iter(_gme_values(members, dims, conv))
+        # zip draws the weight first, so it stops at the ensemble's end
+        values.extend(math.fsum(p * v for p, v in zip(weights, scores))
+                      for weights, _ in ensembles)
+    return values
 
 
 def _ensemble_members(sub: np.ndarray, iso: np.ndarray,
                       dims: tuple[int, ...],
                       tol: float) -> list[tuple[float, PureState]]:
     """Members (p_i, psi_i) of the decomposition induced by an isometry."""
-    weights, members = _ensemble(sub, iso, dims, tol)
+    weights, members = _ensemble(sub, iso)
+    _check_rows(dims, members, tol)
     return [(p, PureState(dims, psi, tol=tol))
             for p, psi in zip(weights, members)]
 
@@ -429,10 +488,9 @@ def convex_roof_upper_bound(
             raise ValidationError(
                 f"ensemble size {m} < rank {r}: no such decomposition")
 
-    def objective(params: np.ndarray) -> float:
-        # m is the ensemble size of the search loop below
-        return _ensemble_value(sub, _isometry(m, r, params), rho.dims,
-                               spec.cut, conv)
+    def score(batch: list) -> list[float]:
+        return _ensemble_values(sub, [_isometry(m, r, x) for m, x in batch],
+                                rho.dims, spec.cut, conv)
 
     # Spectral baseline: the eigen-ensemble, at rank 1 the spectrum's own
     # pure state at weight 1; only the search is batched.
@@ -442,25 +500,40 @@ def convex_roof_upper_bound(
         p * gme_value(psi, conv) for p, psi in members)
     history = [best_value]
 
-    seed_seq = np.random.SeedSequence(config.seed)
-    for m in sizes:
-        nparams = _param_count(m, r)
-        for _ in range(config.restarts):
-            # a zero incumbent never rises, and every decomposition of a
-            # rank-1 state is the state itself: no search can improve
-            if r == 1 or best_value <= 1e-10:
+    # Search k = s * restarts + i starts from the k-th child seed, and
+    # the searches are folded in that size-major order; the searches of
+    # restart i, one per size, run together.
+    restarts = config.restarts
+    total = len(sizes) * restarts
+    children = np.random.SeedSequence(config.seed).spawn(total)
+    finished = {}
+    for i in range(restarts):
+        # a zero incumbent never rises, and every decomposition of a
+        # rank-1 state is the state itself: no search can improve
+        if r == 1 or best_value <= 1e-10:
+            break
+        searches = {}
+        for k in range(i, total, restarts):
+            m = sizes[k // restarts]
+            x0 = np.random.default_rng(children[k]).uniform(
+                0.0, 2.0 * math.pi, size=_param_count(m, r))
+            searches[k] = (m, _nelder_mead(x0, config.max_iterations))
+        for k, res in _lockstep(searches, score):
+            finished[k] = res
+            while (j := len(history) - 1) in finished:  # fold the prefix
+                done = finished.pop(j)
+                # require a margin above evaluation noise so the simpler
+                # incumbent (e.g. the spectral ensemble) wins ties
+                if done.fun < best_value - 1e-12:
+                    best_value = float(done.fun)
+                    members = _ensemble_members(
+                        sub, _isometry(sizes[j // restarts], r, done.x),
+                        rho.dims, spec.cut)
                 history.append(best_value)
-                continue
-            rng = np.random.default_rng(seed_seq.spawn(1)[0])
-            x0 = rng.uniform(0.0, 2.0 * math.pi, size=nparams)
-            res = minimize(objective, x0, config.max_iterations)
-            # require a margin above evaluation noise so the simpler
-            # incumbent (e.g. the spectral ensemble) wins ties
-            if res.fun < best_value - 1e-12:
-                best_value = float(res.fun)
-                members = _ensemble_members(sub, _isometry(m, r, res.x),
-                                            rho.dims, spec.cut)
-            history.append(best_value)
+            if best_value <= 1e-10:  # every later search is dropped
+                break
+    # a skipped or dropped search keeps the incumbent
+    history.extend([best_value] * (1 + total - len(history)))
 
     decomp = Decomposition(tuple(members))
     err = 0.0 if spec.pure is rho else decomposition_mixture_error(rho, decomp)

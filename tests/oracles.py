@@ -185,3 +185,46 @@ def grid_roof_oracle(rho, theta_points: int = 180,
             if total < best:
                 best = total
     return best
+
+
+def sequential_roof(rho, conv, config):
+    """The convex roof's search one local search at a time, in the
+    size-major order its results are folded in: ``minimize`` on the
+    one-isometry objective, restart streams spawned on demand, and every
+    search skipped once the incumbent is zero.  Returns the value, the
+    spectral value, the history, the members (p_i, psi_i) and the result
+    of every search run, in that order."""
+    from trigme.mixed import (_ensemble_members, _ensemble_values,
+                              _isometry, _param_count, _spectrum, minimize)
+    from trigme.triangles import gme_value
+
+    spec = _spectrum(rho)
+    r = spec.rank
+    sub = spec.vectors[:, :r] * np.sqrt(spec.values[:r])
+    sizes = config.ensemble_sizes or tuple(range(r, r + 3))
+    members = ([(1.0, spec.pure)] if spec.pure is not None
+               else _ensemble_members(sub, np.eye(r), rho.dims, spec.cut))
+    spectral = best = math.fsum(p * gme_value(psi, conv) for p, psi in members)
+    history = [best]
+    searches = []
+    seed_seq = np.random.SeedSequence(config.seed)
+    for m in sizes:
+        def objective(params):
+            [value] = _ensemble_values(sub, [_isometry(m, r, params)],
+                                       rho.dims, spec.cut, conv)
+            return value
+
+        for _ in range(config.restarts):
+            if r == 1 or best <= 1e-10:
+                history.append(best)
+                continue
+            rng = np.random.default_rng(seed_seq.spawn(1)[0])
+            x0 = rng.uniform(0.0, 2.0 * math.pi, size=_param_count(m, r))
+            res = minimize(objective, x0, config.max_iterations)
+            searches.append(res)
+            if res.fun < best - 1e-12:
+                best = float(res.fun)
+                members = _ensemble_members(sub, _isometry(m, r, res.x),
+                                            rho.dims, spec.cut)
+            history.append(best)
+    return best, spectral, tuple(history), members, searches

@@ -186,6 +186,23 @@ def test_convex_roof_on_appendix_e(capsys, fixtures_dir):
     assert doc["seed"] == 1
 
 
+def test_convex_roof_tol_loads_a_loosely_rounded_state(capsys, fixtures_dir):
+    # at the default 1e-9 the rounded fixture fails the trace check
+    path = str(fixtures_dir / "appendix_e_alt.json")
+    code, out, err = run(capsys, "convex-roof", path, "--json")
+    assert code == 1
+    assert "trace (1.00000025+0j) deviates from 1 by more than 1e-09" in err
+    code, out, err = run(capsys, "convex-roof", path, "--tol", "1e-3",
+                         "--json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert set(doc) == {"tool_version", "input_digest", "convention",
+                        "upper_bound", "spectral_value", "ensemble_weights",
+                        "restarts", "seed"}
+    assert doc["upper_bound"] == 0.0
+    assert len(doc["ensemble_weights"]) == 2
+
+
 # --------------------------------------------------------------- classify
 
 def test_classify_appendix_c(capsys, fixtures_dir):
@@ -601,6 +618,8 @@ def test_one_rank_answer_per_document(capsys, tmp_path, tol, factor):
      "--tol must be a positive finite number, got 0"),
     (["witness", "appendix_e.json", "--tol", "inf"],
      "--tol must be a positive finite number, got inf"),
+    (["convex-roof", "appendix_e.json", "--tol", "nan"],
+     "--tol must be a positive finite number, got nan"),
 ])
 def test_out_of_range_arguments_exit_one_naming_the_value(
         capsys, fixtures_dir, argv, message):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from trigme import EdgeConvention
-from trigme.mixed import (FATOL, XATOL, _ensemble_value, _isometry,
+from trigme.mixed import (FATOL, XATOL, _ensemble_values, _isometry,
                           _param_count, _spectrum, minimize)
 from test_golden import ROOF_CASES
 
@@ -37,8 +37,9 @@ def roof_objective(rho, m: int, conv: EdgeConvention):
     tol = spec.cut
 
     def objective(params):
-        return _ensemble_value(sub, _isometry(m, r, params), rho.dims, tol,
-                               conv)
+        [value] = _ensemble_values(sub, [_isometry(m, r, params)], rho.dims,
+                                   tol, conv)
+        return value
 
     return objective, _param_count(m, r)
 

@@ -14,12 +14,12 @@ from trigme import (ConvexRoofConfig, Decomposition, DensityMatrix,
                     minimal_purification, parse_state_file, partial_trace,
                     tensor_product, w_state, witness)
 from trigme.mixed import (WEIGHT_FLOOR, _ensemble, _ensemble_members,
-                          _ensemble_value, _isometry, _param_count,
+                          _ensemble_values, _isometry, _param_count,
                           _spectrum)
 from trigme.states import _check_rows
 from trigme.triangles import ZERO_AREA_TOL
 from trigme.stateio import fixture_path
-from oracles import GHZ_MIX_ROOF_REFERENCE, ghz_000_mixture
+from oracles import GHZ_MIX_ROOF_REFERENCE, ghz_000_mixture, sequential_roof
 
 CONC = EdgeConvention.CONCURRENCE
 SQ = EdgeConvention.SQUARED
@@ -236,10 +236,10 @@ def test_roof_of_pure_state_is_its_value():
 
 
 def test_rank_one_roof_is_its_spectral_value_without_a_search(monkeypatch):
-    def minimize(*args, **kwargs):
+    def nelder_mead(*args, **kwargs):
         raise AssertionError("searched a rank-1 state's decompositions")
 
-    monkeypatch.setattr(trigme.mixed, "minimize", minimize)
+    monkeypatch.setattr(trigme.mixed, "_nelder_mead", nelder_mead)
     result = convex_roof_upper_bound(w_state(3).projector(), CONC,
                                      ConvexRoofConfig(restarts=2))
     assert result.value == result.spectral_value
@@ -248,10 +248,10 @@ def test_rank_one_roof_is_its_spectral_value_without_a_search(monkeypatch):
 
 
 def test_roof_of_a_pure_state_is_its_spectral_value(monkeypatch):
-    def minimize(*args, **kwargs):
+    def nelder_mead(*args, **kwargs):
         raise AssertionError("searched a pure state's decompositions")
 
-    monkeypatch.setattr(trigme.mixed, "minimize", minimize)
+    monkeypatch.setattr(trigme.mixed, "_nelder_mead", nelder_mead)
     psi = w_state(4)
     result = convex_roof_upper_bound(psi, CONC, ConvexRoofConfig(restarts=2))
     assert result.value == result.spectral_value
@@ -321,15 +321,15 @@ def test_density_matrix_roof_keeps_the_mixture_check(rho, rank,
 
 @pytest.fixture
 def batched_calls(monkeypatch):
-    """The ensemble size of every batched objective evaluation."""
+    """The ensemble sizes scored by each batched objective call."""
     calls = []
-    original = trigme.mixed._ensemble_value
+    original = trigme.mixed._ensemble_values
 
-    def counted(sub, iso, dims, tol, conv):
-        calls.append(len(iso))
-        return original(sub, iso, dims, tol, conv)
+    def counted(sub, isometries, dims, tol, conv):
+        calls.append([len(iso) for iso in isometries])
+        return original(sub, isometries, dims, tol, conv)
 
-    monkeypatch.setattr(trigme.mixed, "_ensemble_value", counted)
+    monkeypatch.setattr(trigme.mixed, "_ensemble_values", counted)
     return calls
 
 
@@ -348,9 +348,12 @@ def test_only_the_search_runs_the_batched_objective(rho, restarts,
 
 
 def test_a_search_runs_the_batched_objective(batched_calls):
+    # the searches of sizes 2, 3 and 4 advance together: the first call
+    # scores their three initial simplices (5, 9 and 15 points)
     convex_roof_upper_bound(ghz_000_rho(), CONC,
                             ConvexRoofConfig(restarts=1, max_iterations=5))
-    assert set(batched_calls) == {2, 3, 4}
+    assert batched_calls[0] == [2] * 5 + [3] * 9 + [4] * 15
+    assert any(set(sizes) == {2, 3, 4} for sizes in batched_calls[1:])
 
 
 def test_pure_roof_builds_no_full_matrix():
@@ -369,6 +372,21 @@ def test_pure_roof_builds_no_full_matrix():
     assert peak < 4 * psi.dim * psi.dim  # one D x D complex array is 16x
 
 
+def test_lockstep_roof_scores_in_bounded_passes():
+    # a round holds every size's initial simplex, 97 member rows here;
+    # scored in one pass they took the peak to 52 MB.  The one-search-at-
+    # a-time loop peaked at 4.13 MB on this search.
+    rho = random_mixture((2,) * 8, 2, 770)
+    tracemalloc.start()
+    try:
+        convex_roof_upper_bound(rho, CONC, ConvexRoofConfig(
+            restarts=1, max_iterations=5, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.1 * 4.13e6
+
+
 def test_roof_of_classical_mixture_is_zero():
     result = convex_roof_upper_bound(classical_mixture(), CONC,
                                      ConvexRoofConfig(restarts=2))
@@ -383,18 +401,77 @@ def test_roof_same_seed_is_deterministic():
     assert a.value == b.value
 
 
-def test_roof_finds_zero_for_mixture_of_biseparable_states():
-    # members are biseparable across different cuts, so the spectral
-    # eigenvectors are GME and the zero decomposition must be searched
+def biseparable_mixture() -> DensityMatrix:
+    """Members biseparable across different cuts: the spectral
+    eigenvectors are GME, and the zero decomposition must be searched."""
     a = np.zeros(8)
     a[0] = a[3] = 1.0 / math.sqrt(2.0)  # |0> (|00> + |11>)
     b = np.zeros(8)
     b[0] = b[6] = 1.0 / math.sqrt(2.0)  # (|00> + |11>) |0>
-    rho = DensityMatrix((2, 2, 2), 0.5 * np.outer(a, a)
-                        + 0.5 * np.outer(b, b))
+    return DensityMatrix((2, 2, 2), 0.5 * np.outer(a, a)
+                         + 0.5 * np.outer(b, b))
+
+
+def test_roof_finds_zero_for_mixture_of_biseparable_states():
+    rho = biseparable_mixture()
     result = convex_roof_upper_bound(rho, CONC, ConvexRoofConfig(seed=0))
     assert result.spectral_value > 0.1
     assert result.value <= 1e-6
+
+
+@pytest.mark.parametrize("conv", [CONC, SQ])
+@pytest.mark.parametrize("make_rho, config", [
+    *[pytest.param(biseparable_mixture,
+                   ConvexRoofConfig(restarts=4, max_iterations=300,
+                                    seed=seed),
+                   id=f"zero-reaching-seed{seed}") for seed in range(3)],
+    pytest.param(lambda: random_mixture((2, 2, 2), 3, 760),
+                 ConvexRoofConfig(restarts=3, max_iterations=100, seed=761),
+                 id="rank3-2^3"),
+    pytest.param(lambda: random_mixture((3, 3, 3), 2, 762),
+                 ConvexRoofConfig(restarts=2, max_iterations=100, seed=763),
+                 id="rank2-3^3"),
+    pytest.param(lambda: random_mixture((2,) * 4, 2, 764),
+                 ConvexRoofConfig(ensemble_sizes=(3,), restarts=3,
+                                  max_iterations=100, seed=765),
+                 id="rank2-2^4-size3"),
+])
+def test_lockstep_roof_equals_the_sequential_search(make_rho, config, conv,
+                                                   monkeypatch):
+    # the searches of one restart index run together, but every search
+    # and the fold are those of one search at a time, bit for bit; a
+    # search that does not improve the bound shows only here
+    started, finished = [], {}
+    lockstep = trigme.mixed._lockstep
+
+    def recorded(searches, score):
+        started.extend(searches)
+        for k, res in lockstep(searches, score):
+            finished[k] = res
+            yield k, res
+
+    monkeypatch.setattr(trigme.mixed, "_lockstep", recorded)
+    rho = make_rho()
+    value, spectral, history, members, searches = sequential_roof(
+        rho, conv, config)
+    result = convex_roof_upper_bound(rho, conv, config)
+    assert repr(result.value) == repr(value)
+    assert repr(result.spectral_value) == repr(spectral)
+    assert repr(result.history) == repr(history)
+    got = result.decomposition.members
+    assert repr([p for p, _ in got]) == repr([p for p, _ in members])
+    for (_, psi), (_, want) in zip(got, members, strict=True):
+        assert np.array_equal(psi.amplitudes, want.amplitudes)
+    for k, want in enumerate(searches):
+        res = finished.pop(k)
+        assert np.array_equal(res.x, want.x)
+        assert repr((res.fun, res.nit, res.nfev, res.success)) == \
+            repr((want.fun, want.nit, want.nfev, want.success))
+    # a zero-reaching roof may also start the larger sizes' searches of
+    # the restarts up to the one that reaches zero, but folds none of them
+    sizes = len(config.ensemble_sizes or range(3))
+    assert len(started) <= sizes * len(searches)
+    assert all(k >= len(searches) for k in finished)
 
 
 def test_roof_of_a_loosely_loaded_state_scores_its_kept_spectrum():
@@ -515,7 +592,7 @@ def assert_batched_equals_member_by_member(rho, isometries):
     sub, _ = spectral_factor(rho)
     for iso in isometries:
         for conv in EdgeConvention:
-            batched = _ensemble_value(sub, iso, rho.dims, 1e-9, conv)
+            [batched] = _ensemble_values(sub, [iso], rho.dims, 1e-9, conv)
             assert batched == member_by_member(sub, iso, rho.dims, conv)
             assert batched == math.fsum(
                 p * gme_value(psi, conv)
@@ -561,6 +638,20 @@ def test_batched_objective_handles_members_with_zero_edges(rho):
     assert_batched_equals_member_by_member(rho, isometries)
 
 
+@pytest.mark.parametrize("budget", [None, 1], ids=["one-pass", "chunked"])
+def test_batched_objective_scores_a_list_of_mixed_sizes(budget, monkeypatch):
+    # a budget of 1 leaves passes of at most the largest ensemble size
+    if budget is not None:
+        monkeypatch.setattr(trigme.mixed, "_ROW_BUDGET", budget)
+    rho = random_mixture((2, 2, 2), 2, 780)
+    sub, r = spectral_factor(rho)
+    isometries = list(random_isometries(r, 2, 781))[::-1]
+    for conv in EdgeConvention:
+        values = _ensemble_values(sub, isometries, rho.dims, 1e-9, conv)
+        assert values == [member_by_member(sub, iso, rho.dims, conv)
+                          for iso in isometries]
+
+
 def test_batched_objective_raises_on_an_edge_breach(monkeypatch):
     # the second member's edges break the triangle inequality
     rows = np.array([[0.5, 0.5, 0.5], [1.0, 1.0, 3.0]])
@@ -571,8 +662,8 @@ def test_batched_objective_raises_on_an_edge_breach(monkeypatch):
     with pytest.raises(InternalInvariantError,
                        match=rf"polygamy violated: edges \(1.0, 1.0, 3.0\)"
                              rf".*{vertices}"):
-        _ensemble_value(sub, np.eye(r, dtype=complex), (2, 2, 2), 1e-9,
-                        CONC)
+        _ensemble_values(sub, [np.eye(r, dtype=complex)], (2, 2, 2), 1e-9,
+                         CONC)
 
 
 @pytest.mark.parametrize("bad_row", [
@@ -601,7 +692,7 @@ def test_member_rows_inside_the_norm_tolerance_pass():
 def test_ensemble_rows_are_the_member_states():
     sub, r = spectral_factor(random_mixture((3, 3, 3), 2, 750))
     iso = next(random_isometries(r, 1, 751))
-    weights, members = _ensemble(sub, iso, (3, 3, 3), 1e-9)
+    weights, members = _ensemble(sub, iso)
     pairs = _ensemble_members(sub, iso, (3, 3, 3), 1e-9)
     assert weights == [p for p, _ in pairs]
     for row, (_, psi) in zip(members, pairs):
