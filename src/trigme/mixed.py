@@ -259,13 +259,17 @@ class ConvexRoofResult:
     history: tuple[float, ...] = field(repr=False)
 
 
-def _givens_unitary(m: int, params: np.ndarray) -> np.ndarray:
-    """Product of complex Givens rotations over all index pairs."""
+def _isometry(m: int, r: int, params: np.ndarray) -> np.ndarray:
+    """m x r matrix with orthonormal columns from rotation coordinates:
+    the first r columns of the product of complex Givens rotations, one
+    (angle, phase) pair per index pair p < q in order, times r column
+    phases (row phases only rephase members).  A rotation with p >= r
+    mixes only dropped columns, so it is skipped."""
     u = np.eye(m, dtype=complex)
     rot = np.eye(m, dtype=complex)  # reset to the identity after each use
     angles = params.tolist()
     k = 0
-    for p in range(m):
+    for p in range(r):
         for q in range(p + 1, m):
             th, ph = angles[k], angles[k + 1]
             k += 2
@@ -278,19 +282,8 @@ def _givens_unitary(m: int, params: np.ndarray) -> np.ndarray:
             u = u @ rot
             rot[p, p] = rot[q, q] = 1.0
             rot[p, q] = rot[q, p] = 0.0
-    return u
-
-
-def _isometry(m: int, r: int, params: np.ndarray) -> np.ndarray:
-    """m x r matrix with orthonormal columns from rotation coordinates.
-
-    Row phases of the isometry only rephase ensemble members, so the
-    parameterization is Givens angles plus r column phases.
-    """
     n_rot = m * (m - 1)
-    u = _givens_unitary(m, params[:n_rot])[:, :r]
-    phases = np.exp(1j * params[n_rot:n_rot + r])
-    return u * phases
+    return u[:, :r] * np.exp(1j * params[n_rot:n_rot + r])
 
 
 def _param_count(m: int, r: int) -> int:
@@ -373,13 +366,9 @@ def _nelder_mead(x0: np.ndarray, max_iterations: int):
 
 def minimize(fun, x0: np.ndarray, max_iterations: int) -> MinimizeResult:
     """``_nelder_mead`` with every point scored by ``fun`` in turn."""
-    search = _nelder_mead(x0, max_iterations)
-    points = next(search)
-    while True:
-        try:
-            points = search.send([fun(x) for x in points])
-        except StopIteration as done:
-            return done.value
+    [(_, result)] = _lockstep({0: (None, _nelder_mead(x0, max_iterations))},
+                              lambda batch: [fun(x) for _, x in batch])
+    return result
 
 
 def _lockstep(searches: dict, score):
@@ -452,7 +441,6 @@ def _ensemble_members(sub: np.ndarray, iso: np.ndarray,
                       tol: float) -> list[tuple[float, PureState]]:
     """Members (p_i, psi_i) of the decomposition induced by an isometry."""
     weights, members = _ensemble(sub, iso)
-    _check_rows(dims, members, tol)
     return [(p, PureState(dims, psi, tol=tol))
             for p, psi in zip(weights, members)]
 
@@ -500,13 +488,13 @@ def convex_roof_upper_bound(
         p * gme_value(psi, conv) for p, psi in members)
     history = [best_value]
 
-    # Search k = s * restarts + i starts from the k-th child seed, and
-    # the searches are folded in that size-major order; the searches of
-    # restart i, one per size, run together.
+    # Search k = s * restarts + i starts from the k-th child seed of
+    # config.seed, spawned as it starts; the searches of restart i, one
+    # per size, run together, and the fold, in size-major order, keeps
+    # the winner's isometry arguments.
     restarts = config.restarts
     total = len(sizes) * restarts
-    children = np.random.SeedSequence(config.seed).spawn(total)
-    finished = {}
+    finished, winner = {}, None
     for i in range(restarts):
         # a zero incumbent never rises, and every decomposition of a
         # rank-1 state is the state itself: no search can improve
@@ -515,7 +503,8 @@ def convex_roof_upper_bound(
         searches = {}
         for k in range(i, total, restarts):
             m = sizes[k // restarts]
-            x0 = np.random.default_rng(children[k]).uniform(
+            x0 = np.random.default_rng(np.random.SeedSequence(
+                config.seed, spawn_key=(k,))).uniform(
                 0.0, 2.0 * math.pi, size=_param_count(m, r))
             searches[k] = (m, _nelder_mead(x0, config.max_iterations))
         for k, res in _lockstep(searches, score):
@@ -526,15 +515,15 @@ def convex_roof_upper_bound(
                 # incumbent (e.g. the spectral ensemble) wins ties
                 if done.fun < best_value - 1e-12:
                     best_value = float(done.fun)
-                    members = _ensemble_members(
-                        sub, _isometry(sizes[j // restarts], r, done.x),
-                        rho.dims, spec.cut)
+                    winner = (sizes[j // restarts], r, done.x)
                 history.append(best_value)
             if best_value <= 1e-10:  # every later search is dropped
                 break
     # a skipped or dropped search keeps the incumbent
     history.extend([best_value] * (1 + total - len(history)))
-
+    if winner is not None:
+        members = _ensemble_members(sub, _isometry(*winner), rho.dims,
+                                    spec.cut)
     decomp = Decomposition(tuple(members))
     err = 0.0 if spec.pure is rho else decomposition_mixture_error(rho, decomp)
     # rho is reproduced up to the eigenvalues the rank cut dropped, whose

@@ -187,6 +187,31 @@ def grid_roof_oracle(rho, theta_points: int = 180,
     return best
 
 
+def givens_isometry(m: int, r: int, params) -> np.ndarray:
+    """The roof's m x r isometry from the full product of the m(m-1)/2
+    complex Givens rotations (angle, phase pairs over the index pairs
+    p < q in lexicographic order), first r columns, rephased by the last
+    r coordinates: every rotation applied, past the rank or not."""
+    u = np.eye(m, dtype=complex)
+    rot = np.eye(m, dtype=complex)  # reset to the identity after each use
+    angles = params.tolist()
+    k = 0
+    for p in range(m):
+        for q in range(p + 1, m):
+            th, ph = angles[k], angles[k + 1]
+            k += 2
+            c, s = math.cos(th), math.sin(th)
+            e = complex(math.cos(ph), math.sin(ph))
+            rot[p, p] = c
+            rot[q, q] = c
+            rot[p, q] = s * e
+            rot[q, p] = -s * e.conjugate()
+            u = u @ rot
+            rot[p, p] = rot[q, q] = 1.0
+            rot[p, q] = rot[q, p] = 0.0
+    return u[:, :r] * np.exp(1j * params[k:k + r])
+
+
 def sequential_roof(rho, conv, config):
     """The convex roof's search one local search at a time, in the
     size-major order its results are folded in: ``minimize`` on the

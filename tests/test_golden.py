@@ -2,7 +2,9 @@
 
 The golden files pin the exact output of the pure-state pipeline: the
 ``analyze --json`` report of every shipped pure or rank-1 fixture and
-of two seeded 3-party Haar states, the
+of two seeded 3-party Haar states, the text and ``analyze --json``
+reports of seeded Haar 2^5 and 2^6 states and a biseparable 2^6
+product (triangles above one, and zero triangles), the
 ``witness --json`` outcome of the two mixed fixtures, the text and
 ``witness --json`` reports of the GHZ4 and W4 pure documents, the
 ``check-inequalities`` summary on seeded 2^4 and 3x3x3 Haar states,
@@ -31,7 +33,7 @@ import pytest
 
 from trigme import (ConvexRoofConfig, DensityMatrix, EdgeConvention,
                     convex_roof_upper_bound, gme_value, haar_random_pure,
-                    parse_state_file)
+                    parse_state_file, tensor_product)
 from trigme.cli import run_command
 from trigme.stateio import fixture_path, write_state_file
 from oracles import ghz_000_mixture
@@ -47,13 +49,19 @@ ANALYZE_CASES = {
                         ("haar3-4003", []), ("haar3-4054", []))
     for conv in ("concurrence", "squared")
 }
-# Seeded 3-party states, written out at test time.  Under the
-# concurrence convention, seed 4054's unrounded total and level value
-# were once exp(log(area)), one bit off the area that gme_value gives;
-# they are the area now.  The report rounds to 10 significant digits,
-# so its bytes are the same either way (these goldens predate the fix).
-HAAR_FILES = {"haar3-4003.json": ((2, 2, 2), 4003),
-              "haar3-4054.json": ((2, 2, 2), 4054)}
+# Seeded states, written out at test time.  Under the concurrence
+# convention, seed 4054's unrounded total and level value were once
+# exp(log(area)), one bit off the area that gme_value gives; they are
+# the area now.  The report rounds to 10 significant digits, so its
+# bytes are the same either way (these goldens predate the fix).
+STATE_FILES = {
+    "haar3-4003.json": lambda: haar_random_pure((2, 2, 2), 4003),
+    "haar3-4054.json": lambda: haar_random_pure((2, 2, 2), 4054),
+    "haar5-4205.json": lambda: haar_random_pure((2,) * 5, 4205),
+    "haar6-4206.json": lambda: haar_random_pure((2,) * 6, 4206),
+    "biseparable6-4207.json": lambda: tensor_product(
+        [haar_random_pure([2, 2], 4207), haar_random_pure([2] * 4, 4208)]),
+}
 WITNESS_CASES = {
     f"witness-{name}": ["witness", name + ".json", "--json"]
     for name in ("appendix_e", "appendix_e_alt")
@@ -70,6 +78,16 @@ PURE_WITNESS_CASES = {
     f"witness-{name}": (["witness", name + ".json"],
                         ["witness", name + ".json", "--json"])
     for name in ("ghz4", "w4")
+}
+# Laid out as the pure witness cases.  Of the 20 triangles of the 2^5
+# state, 18 (concurrence) and 10 (squared) are above area one; of the
+# 90 of the 2^6 state, 88 and 80; the product has zero triangles.
+ANALYZE_TEXT_CASES = {
+    f"analyze-{name}-{conv}": (
+        ["analyze", name + ".json", "--convention", conv],
+        ["analyze", name + ".json", "--convention", conv, "--json"])
+    for name in ("haar5-4205", "haar6-4206", "biseparable6-4207")
+    for conv in ("concurrence", "squared")
 }
 GME_STATES = ([(f"haar-2^{n}", (2,) * n, 4000 + n) for n in range(4, 13)]
               + [("haar-3x3x3x3", (3, 3, 3, 3), 4100),
@@ -97,11 +115,10 @@ ROOF_CASES = {
 
 
 def state_path(name: str, tmp: str) -> str:
-    if name not in HAAR_FILES:
+    if name not in STATE_FILES:
         return str(fixture_path(name))
-    dims, seed = HAAR_FILES[name]
     path = Path(tmp) / name
-    write_state_file(haar_random_pure(dims, seed), path)
+    write_state_file(STATE_FILES[name](), path)
     return str(path)
 
 
@@ -159,6 +176,12 @@ def test_pure_witness_bytes_match_golden(name):
     assert "".join(map(cli_output, PURE_WITNESS_CASES[name])) == want
 
 
+@pytest.mark.parametrize("name", sorted(ANALYZE_TEXT_CASES))
+def test_analyze_text_and_json_bytes_match_golden(name):
+    want = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    assert "".join(map(cli_output, ANALYZE_TEXT_CASES[name])) == want
+
+
 def test_gme_values_match_golden_bit_for_bit():
     want = (GOLDEN / "gme_values.txt").read_text(encoding="utf-8")
     assert gme_lines() == want
@@ -174,7 +197,7 @@ def regenerate() -> None:
     for name, argv in CLI_CASES.items():
         (GOLDEN / f"{name}.out").write_text(cli_output(argv),
                                             encoding="utf-8")
-    for name, argvs in PURE_WITNESS_CASES.items():
+    for name, argvs in {**PURE_WITNESS_CASES, **ANALYZE_TEXT_CASES}.items():
         (GOLDEN / f"{name}.out").write_text(
             "".join(map(cli_output, argvs)), encoding="utf-8")
     (GOLDEN / "gme_values.txt").write_text(gme_lines(), encoding="utf-8")

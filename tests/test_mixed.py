@@ -19,7 +19,8 @@ from trigme.mixed import (WEIGHT_FLOOR, _ensemble, _ensemble_members,
 from trigme.states import _check_rows
 from trigme.triangles import ZERO_AREA_TOL
 from trigme.stateio import fixture_path
-from oracles import GHZ_MIX_ROOF_REFERENCE, ghz_000_mixture, sequential_roof
+from oracles import (GHZ_MIX_ROOF_REFERENCE, ghz_000_mixture, givens_isometry,
+                     sequential_roof)
 
 CONC = EdgeConvention.CONCURRENCE
 SQ = EdgeConvention.SQUARED
@@ -387,6 +388,23 @@ def test_lockstep_roof_scores_in_bounded_passes():
     assert peak < 1.1 * 4.13e6
 
 
+@pytest.mark.parametrize("rho", [ghz_state(3), classical_mixture()],
+                         ids=["rank-1", "zero-baseline"])
+def test_skipped_searches_cost_nothing_per_search(rho):
+    # no search can improve either bound, so each of the 60,000 skipped
+    # searches costs one history entry; a seed for each, spawned up
+    # front, took the peak to 22 MB
+    tracemalloc.start()
+    try:
+        result = convex_roof_upper_bound(rho, CONC,
+                                         ConvexRoofConfig(restarts=20_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.history) == 60_001
+    assert peak < 2e6
+
+
 def test_roof_of_classical_mixture_is_zero():
     result = convex_roof_upper_bound(classical_mixture(), CONC,
                                      ConvexRoofConfig(restarts=2))
@@ -450,10 +468,12 @@ def test_lockstep_roof_equals_the_sequential_search(make_rho, config, conv,
             finished[k] = res
             yield k, res
 
-    monkeypatch.setattr(trigme.mixed, "_lockstep", recorded)
     rho = make_rho()
     value, spectral, history, members, searches = sequential_roof(
         rho, conv, config)
+    # the oracle's minimize runs each search through _lockstep alone, so
+    # the spy goes in after it, to record the roof's calls only
+    monkeypatch.setattr(trigme.mixed, "_lockstep", recorded)
     result = convex_roof_upper_bound(rho, conv, config)
     assert repr(result.value) == repr(value)
     assert repr(result.spectral_value) == repr(spectral)
@@ -605,6 +625,19 @@ def random_isometries(r: int, count: int, seed: int):
         for _ in range(count):
             params = rng.uniform(0.0, 2.0 * math.pi, _param_count(m, r))
             yield _isometry(m, r, params)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_isometry_equals_the_full_givens_product(r):
+    # the rotations past the rank are skipped; the kept columns are
+    # those of every rotation applied, bit for bit
+    rng = np.random.default_rng(790 + r)
+    for m in range(r, r + 4):
+        for params in (np.zeros(_param_count(m, r)),
+                       *(rng.uniform(0.0, 2.0 * math.pi, _param_count(m, r))
+                         for _ in range(20))):
+            assert _isometry(m, r, params).tobytes() == \
+                givens_isometry(m, r, params).tobytes()
 
 
 @pytest.mark.parametrize("dims, rank", [
