@@ -3,8 +3,8 @@
 The golden files pin the exact output of the pure-state pipeline: the
 ``analyze --json`` report of every shipped pure or rank-1 fixture and
 of two seeded 3-party Haar states, the text and ``analyze --json``
-reports of seeded Haar 2^5 and 2^6 states and a biseparable 2^6
-product (triangles above one, and zero triangles), the
+reports of seeded Haar 2^5, 2^6 and 2^8 states and biseparable 2^6
+and 3|5 2^8 products (triangles above one, and zero triangles), the
 ``witness --json`` outcome of the two mixed fixtures, the text and
 ``witness --json`` reports of the GHZ4 and W4 pure documents, the
 ``check-inequalities`` summary on seeded 2^4 and 3x3x3 Haar states,
@@ -61,6 +61,9 @@ STATE_FILES = {
     "haar6-4206.json": lambda: haar_random_pure((2,) * 6, 4206),
     "biseparable6-4207.json": lambda: tensor_product(
         [haar_random_pure([2, 2], 4207), haar_random_pure([2] * 4, 4208)]),
+    "haar8-4218.json": lambda: haar_random_pure((2,) * 8, 4218),
+    "biseparable8-4219.json": lambda: tensor_product(
+        [haar_random_pure([2] * 3, 4219), haar_random_pure([2] * 5, 4220)]),
 }
 WITNESS_CASES = {
     f"witness-{name}": ["witness", name + ".json", "--json"]
@@ -81,12 +84,15 @@ PURE_WITNESS_CASES = {
 }
 # Laid out as the pure witness cases.  Of the 20 triangles of the 2^5
 # state, 18 (concurrence) and 10 (squared) are above area one; of the
-# 90 of the 2^6 state, 88 and 80; the product has zero triangles.
+# 90 of the 2^6 state, 88 and 80; of the 504 of the 2^8 state, all,
+# over three levels.  The products have zero triangles: the 2^8 one
+# has 8, at levels 2 and 3, beside 458 and 434 above one.
 ANALYZE_TEXT_CASES = {
     f"analyze-{name}-{conv}": (
         ["analyze", name + ".json", "--convention", conv],
         ["analyze", name + ".json", "--convention", conv, "--json"])
-    for name in ("haar5-4205", "haar6-4206", "biseparable6-4207")
+    for name in ("haar5-4205", "haar6-4206", "biseparable6-4207",
+                 "haar8-4218", "biseparable8-4219")
     for conv in ("concurrence", "squared")
 }
 GME_STATES = ([(f"haar-2^{n}", (2,) * n, 4000 + n) for n in range(4, 13)]
