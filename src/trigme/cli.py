@@ -24,7 +24,7 @@ from .concurrence import all_cut_concurrences, check_polygamy
 from .errors import InternalInvariantError, TrigmeError, ValidationError
 from .mixed import ConvexRoofConfig, _spectrum, convex_roof_upper_bound, \
     witness
-from .reporting import AnalysisReport, _subset_text, canonical_json, \
+from .reporting import AnalysisReport, _subsets_text, canonical_json, \
     emit_report
 from .selftest import run_selftest
 from .states import PureState, haar_random_pure
@@ -188,7 +188,7 @@ def _cmd_convex_roof(ns) -> int:
 
 def _cmd_classify(ns) -> int:
     _, _, fact, notices = _factorized(ns)
-    factors = ",".join(_subset_text(f) for f in fact.factors)
+    factors = _subsets_text(fact.factors)
     for notice in notices:
         sys.stdout.write(f"note: {notice}\n")
     sys.stdout.write(f"factors: {factors}\n")

@@ -7,11 +7,12 @@ digits, so identical inputs produce byte-identical reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import __version__
 from .classify import Factorization
 from .stateio import indented_json
-from .triangles import GmeReport
+from .triangles import GmeReport, _level_plan
 
 __all__ = [
     "AnalysisReport",
@@ -31,8 +32,42 @@ def canonical_json(obj) -> str:
     return indented_json(obj, fmt10)
 
 
-def _subset_text(parties) -> str:
-    return "{" + ",".join(str(p) for p in parties) + "}"
+def _json_list(items: list[str], newline: str = "\n") -> str:
+    """Item texts in a list as the JSON writer lays it out, each item on
+    a line of its own after ``newline + " "``."""
+    inner = newline + " "
+    return "[" + inner + ("," + inner).join(items) + newline + "]" \
+        if items else "[]"
+
+
+def _subsets_text(subsets) -> str:
+    """Party subsets as report text, such as ``{1},{2,3}``."""
+    return ",".join("{" + ",".join(map(str, v)) + "}" for v in subsets)
+
+
+def _subsets_json(subsets) -> str:
+    """Party subsets as the JSON writer lays them out in an inventory row."""
+    return _json_list([_json_list(list(map(str, v)), "\n    ")
+                       for v in subsets], "\n   ")
+
+
+@lru_cache(maxsize=128)  # per format, one per (number of parties, level)
+def _vertex_texts(nparties: int, level: int, render) -> tuple[str, ...]:
+    """``render`` of each triangle's vertices at a level, in plan order."""
+    return tuple(map(render, _level_plan(nparties, level)[0]))
+
+
+def _inventory(gme: GmeReport, render) -> tuple[list, list]:
+    """The zero-area and the above-one triangles from the report's
+    columns: (level, vertices, area, zero edges) and (level, vertices,
+    area), with vertices as ``render`` writes them."""
+    zero, above = [], []
+    for lv in gme.levels:
+        verts = _vertex_texts(len(gme.dims), lv.level, render)
+        areas = lv.areas.tolist()
+        zero += [(lv.level, verts[k], areas[k], e) for k, e in lv.zeros()]
+        above += [(lv.level, verts[k], areas[k]) for k in lv.above_one()]
+    return zero, above
 
 
 @dataclass(frozen=True)
@@ -48,9 +83,11 @@ class AnalysisReport:
     factorization: Factorization
     notices: tuple[str, ...]
 
-    def to_dict(self) -> dict:
+    def to_json(self) -> str:
+        """Canonical JSON: the inventory rows are written from the GME
+        report's columns, byte for byte as the JSON writer would."""
         gme = self.gme
-        return {
+        sections = {
             "tool_version": __version__,
             "input_digest": self.input_digest,
             "dims": list(gme.dims),
@@ -67,21 +104,23 @@ class AnalysisReport:
                 "factors": [list(f) for f in self.factorization.factors],
                 "is_gme": self.factorization.is_gme,
             },
-            "zero_triangles": [
-                {"level": z.level,
-                 "vertices": [list(v) for v in z.vertex_labels],
-                 "area": z.area,
-                 "zero_edges": [list(e) for e in z.zero_edges]}
-                for z in gme.zero_triangles],
-            "areas_above_one": [
-                {"level": t.level,
-                 "vertices": [list(v) for v in t.vertex_labels],
-                 "area": t.area}
-                for t in gme.areas_above_one],
             "marginal_cuts": [c.label()
                               for c in self.factorization.marginal_cuts],
             "notices": list(self.notices),
         }
+        # each section is written at the top level, then indented one
+        # step: a JSON string never holds a raw newline
+        parts = {k: canonical_json(v)[:-1].replace("\n", "\n ")
+                 for k, v in sections.items()}
+        zero, above = _inventory(gme, _subsets_json)
+        row = '{\n   "area": %r,\n   "level": %d,\n   "vertices": %s%s\n  }'
+        parts["zero_triangles"] = _json_list([
+            row % (fmt10(a), l, v, ',\n   "zero_edges": ' + _subsets_json(e))
+            for l, v, a, e in zero], "\n ")
+        parts["areas_above_one"] = _json_list([
+            row % (fmt10(a), l, v, "") for l, v, a in above], "\n ")
+        body = ",\n ".join(f'"{k}": {v}' for k, v in sorted(parts.items()))
+        return "{\n " + body + "\n}\n"
 
     def to_text(self) -> str:
         gme = self.gme
@@ -98,23 +137,18 @@ class AnalysisReport:
         lines.append("cut concurrences:")
         for cut, v in sorted(gme.cut_values.items()):
             lines.append(f"  {cut.label():<12} {v:.10g}")
-        factors = ",".join(_subset_text(f)
-                           for f in self.factorization.factors)
+        factors = _subsets_text(self.factorization.factors)
         tag = "GME" if self.factorization.is_gme else "not GME"
         lines.append(f"factorization: {factors}  ({tag})")
-        if gme.zero_triangles:
+        zero, above = _inventory(gme, _subsets_text)
+        if zero:
             lines.append("zero-area triangles:")
-            for z in gme.zero_triangles:
-                verts = ",".join(_subset_text(v) for v in z.vertex_labels)
-                edges = (",".join(_subset_text(e) for e in z.zero_edges)
-                         or "none below edge tolerance")
-                lines.append(f"  ({verts})  area {z.area:.3g}  "
-                             f"zero edges: {edges}")
-        if gme.areas_above_one:
+            lines += [f"  ({v})  area {a:.3g}  zero edges: "
+                      + (_subsets_text(e) or "none below edge tolerance")
+                      for _, v, a, e in zero]
+        if above:
             lines.append("triangles with area above 1:")
-            for t in gme.areas_above_one:
-                verts = ",".join(_subset_text(v) for v in t.vertex_labels)
-                lines.append(f"  ({verts})  area {t.area:.10g}")
+            lines += [f"  ({v})  area {a:.10g}" for _, v, a in above]
         if self.factorization.marginal_cuts:
             lines.append("marginal cuts (within 10x of tolerance):")
             for c in self.factorization.marginal_cuts:
@@ -127,6 +161,4 @@ class AnalysisReport:
 
 def emit_report(report: AnalysisReport, as_json: bool) -> str:
     """Render a report; identical inputs give byte-identical output."""
-    if as_json:
-        return canonical_json(report.to_dict())
-    return report.to_text()
+    return report.to_json() if as_json else report.to_text()

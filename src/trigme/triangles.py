@@ -28,10 +28,11 @@ scores every ensemble member in one pass per cut shape and per level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +51,7 @@ __all__ = [
     "TriangleEdges",
     "Triangle",
     "ZeroAreaTriangle",
+    "LevelColumns",
     "GmeReport",
     "heron_area_normalized",
     "f3",
@@ -133,6 +135,30 @@ class ZeroAreaTriangle:
     zero_edges: tuple[tuple[int, ...], ...]
 
 
+class LevelColumns(NamedTuple):
+    """One level of a triangle inventory as columns: the plan's vertex
+    labels, the (3, T) raw edge concurrences and the T areas."""
+
+    level: int
+    labels: tuple
+    raw: np.ndarray
+    areas: np.ndarray
+
+    def above_one(self) -> list[int]:
+        """Positions of the triangles with area above ``1 + 1e-9``."""
+        return np.flatnonzero(self.areas > 1.0 + UNIT_AREA_TOL).tolist()
+
+    def zeros(self) -> list[tuple[int, tuple]]:
+        """(position, vertices whose edge concurrence is at most
+        ``ZERO_EDGE_TOL``) of the first of each unordered zero-area
+        triangle."""
+        first: dict[frozenset, int] = {}
+        for k in np.flatnonzero(self.areas <= ZERO_AREA_TOL).tolist():
+            first.setdefault(frozenset(self.labels[k]), k)
+        return [(k, tuple(v for v, x in zip(self.labels[k], self.raw[:, k])
+                          if x <= ZERO_EDGE_TOL)) for k in first.values()]
+
+
 @dataclass(frozen=True)
 class GmeReport:
     """Full triangle inventory behind a total GME value.
@@ -140,8 +166,9 @@ class GmeReport:
     ``value`` is exactly zero whenever some triangle area falls at or
     below ``ZERO_AREA_TOL``, so ``value == 0`` iff ``zero_triangles``
     is nonempty.  Triangles with area above ``1 + 1e-9`` are listed in
-    ``areas_above_one`` rather than clamped.  The triangles are built
-    from the cut table ``cut_values``.
+    ``areas_above_one`` rather than clamped.  The inventory is kept as
+    one ``LevelColumns`` per level, built from the cut table
+    ``cut_values``; its triangle records are built on access.
     """
 
     convention: EdgeConvention
@@ -149,13 +176,35 @@ class GmeReport:
     cut_values: dict[Cut, float]
     level_values: dict[int, float]
     value: float
-    triangles: tuple[Triangle, ...]
-    zero_triangles: tuple[ZeroAreaTriangle, ...]
-    areas_above_one: tuple[Triangle, ...]
+    # equal cut values and convention give equal columns, so reports
+    # compare without their arrays
+    levels: tuple[LevelColumns, ...] = field(compare=False)
 
     @property
     def is_gme(self) -> bool:
         return self.value > 0.0
+
+    def _triangle(self, lv: LevelColumns, k: int) -> Triangle:
+        edges = map(self.convention.edge, lv.raw[:, k].tolist())
+        return Triangle(lv.level, TriangleEdges(*edges, lv.labels[k]),
+                        lv.areas[k].item())
+
+    @property
+    def triangles(self) -> tuple[Triangle, ...]:
+        """Every triangle, level by level in plan order."""
+        return tuple(self._triangle(lv, k) for lv in self.levels
+                     for k in range(len(lv.labels)))
+
+    @property
+    def zero_triangles(self) -> tuple[ZeroAreaTriangle, ...]:
+        return tuple(ZeroAreaTriangle(lv.level, lv.labels[k],
+                                      lv.areas[k].item(), edges)
+                     for lv in self.levels for k, edges in lv.zeros())
+
+    @property
+    def areas_above_one(self) -> tuple[Triangle, ...]:
+        return tuple(self._triangle(lv, k) for lv in self.levels
+                     for k in lv.above_one())
 
 
 def heron_area_normalized(edges: TriangleEdges,
@@ -250,8 +299,8 @@ def _measure(values: np.ndarray, n: int, conv: EdgeConvention,
     """Level values and total of each row of cut concurrences (m, K).
 
     A row stops at its first zero level unless ``inventory`` is given:
-    then every level's (level, raw edges, areas) of the first row is
-    appended.  At N = 3 both are the single triangle's area.
+    then every level's ``LevelColumns`` of the first row is appended.
+    At N = 3 both are the single triangle's area.
     """
     rows = [{} for _ in range(len(values))]
     live = [True] * len(values)
@@ -262,7 +311,8 @@ def _measure(values: np.ndarray, n: int, conv: EdgeConvention,
                 row[level] = _geometric_mean(areas[i], ZERO_AREA_TOL)
                 live[i] = inventory is not None or row[level] != 0.0
         if inventory is not None:
-            inventory.append((level, raw[0], areas[0]))
+            inventory.append(LevelColumns(level, _level_plan(n, level)[0],
+                                          raw[0], np.array(areas[0])))
         elif not any(live):
             break
     if n == 3:
@@ -327,20 +377,8 @@ def f_total(psi: PureState,
     levels = []
     table = all_cut_concurrences(psi, n // 2)
     [(level_values, total)] = _measure(_table_values(table), n, conv, levels)
-    triangles, zero = [], {}
-    for level, raw, areas in levels:
-        for labels, edge_raw, area in zip(_level_plan(n, level)[0],
-                                          raw.T.tolist(), areas):
-            edges = TriangleEdges(*map(conv.edge, edge_raw), labels)
-            triangles.append(Triangle(level, edges, area))
-            if area <= ZERO_AREA_TOL:  # first of each unordered triangle
-                zero.setdefault((level, frozenset(labels)), ZeroAreaTriangle(
-                    level, labels, area,
-                    tuple(v for v, x in zip(labels, edge_raw)
-                          if x <= ZERO_EDGE_TOL)))
-    above = tuple(t for t in triangles if t.area > 1.0 + UNIT_AREA_TOL)
     return GmeReport(conv, psi.dims, table.entries, level_values, total,
-                     tuple(triangles), tuple(zero.values()), above)
+                     tuple(levels))
 
 
 def gme_value(psi: PureState,

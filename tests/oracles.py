@@ -103,6 +103,71 @@ def pure_two_qubit_concurrence(amps) -> float:
     return 2.0 * abs(amps[0] * amps[3] - amps[1] * amps[2])
 
 
+def eager_inventory(psi, conv):
+    """The triangle records as ``f_total`` once built them, eagerly and
+    one checked ``TriangleEdges`` per triangle: every triangle, the first
+    of each unordered zero-area triangle, and those above area one."""
+    from trigme.concurrence import all_cut_concurrences
+    from trigme.triangles import (UNIT_AREA_TOL, ZERO_AREA_TOL,
+                                  ZERO_EDGE_TOL, Triangle, TriangleEdges,
+                                  ZeroAreaTriangle, _level_areas, _level_plan,
+                                  _table_values)
+
+    n = psi.nparties
+    values = _table_values(all_cut_concurrences(psi, n // 2))
+    triangles, zero = [], {}
+    for level in range(1, max(1, (n - 2) // 2) + 1):
+        raw, [areas] = _level_areas(values, n, level, conv)
+        for labels, edge_raw, area in zip(_level_plan(n, level)[0],
+                                          raw[0].T.tolist(), areas):
+            edges = TriangleEdges(*map(conv.edge, edge_raw), labels)
+            triangles.append(Triangle(level, edges, area))
+            if area <= ZERO_AREA_TOL:  # first of each unordered triangle
+                zero.setdefault((level, frozenset(labels)), ZeroAreaTriangle(
+                    level, labels, area,
+                    tuple(v for v, x in zip(labels, edge_raw)
+                          if x <= ZERO_EDGE_TOL)))
+    above = tuple(t for t in triangles if t.area > 1.0 + UNIT_AREA_TOL)
+    return tuple(triangles), tuple(zero.values()), above
+
+
+def analysis_dict(report) -> dict:
+    """The ``analyze --json`` document of an ``AnalysisReport`` as a dict
+    built from its records, for ``canonical_json``."""
+    from trigme import __version__
+
+    gme, fact = report.gme, report.factorization
+    return {
+        "tool_version": __version__,
+        "input_digest": report.input_digest,
+        "dims": list(gme.dims),
+        "tolerance": report.tolerance,
+        "seed": report.seed,
+        "convention": gme.convention.value,
+        "cut_concurrences": {cut.label(): v
+                             for cut, v in sorted(gme.cut_values.items())},
+        "level_values": {str(l): v
+                         for l, v in sorted(gme.level_values.items())},
+        "f_total": gme.value,
+        "is_gme": gme.is_gme,
+        "factorization": {"factors": [list(f) for f in fact.factors],
+                          "is_gme": fact.is_gme},
+        "zero_triangles": [
+            {"level": z.level,
+             "vertices": [list(v) for v in z.vertex_labels],
+             "area": z.area,
+             "zero_edges": [list(e) for e in z.zero_edges]}
+            for z in gme.zero_triangles],
+        "areas_above_one": [
+            {"level": t.level,
+             "vertices": [list(v) for v in t.vertex_labels],
+             "area": t.area}
+            for t in gme.areas_above_one],
+        "marginal_cuts": [c.label() for c in fact.marginal_cuts],
+        "notices": list(report.notices),
+    }
+
+
 def coordinate_triangle_area(a: float, b: float, c: float) -> float:
     """Classic triangle area from side lengths via a planar embedding.
 
@@ -212,15 +277,29 @@ def givens_isometry(m: int, r: int, params) -> np.ndarray:
     return u[:, :r] * np.exp(1j * params[k:k + r])
 
 
+def single_search(fun, x0, max_iterations):
+    """``mixed._nelder_mead`` driven alone, each point it asks for scored
+    by ``fun`` in turn, with no lockstep driver in between."""
+    from trigme.mixed import _nelder_mead
+
+    search = _nelder_mead(x0, max_iterations)
+    points = next(search)
+    while True:
+        try:
+            points = search.send([fun(x) for x in points])
+        except StopIteration as done:
+            return done.value
+
+
 def sequential_roof(rho, conv, config):
     """The convex roof's search one local search at a time, in the
-    size-major order its results are folded in: ``minimize`` on the
+    size-major order its results are folded in: ``single_search`` on the
     one-isometry objective, restart streams spawned on demand, and every
     search skipped once the incumbent is zero.  Returns the value, the
     spectral value, the history, the members (p_i, psi_i) and the result
     of every search run, in that order."""
     from trigme.mixed import (_ensemble_members, _ensemble_values,
-                              _isometry, _param_count, _spectrum, minimize)
+                              _isometry, _param_count, _spectrum)
     from trigme.triangles import gme_value
 
     spec = _spectrum(rho)
@@ -245,7 +324,7 @@ def sequential_roof(rho, conv, config):
                 continue
             rng = np.random.default_rng(seed_seq.spawn(1)[0])
             x0 = rng.uniform(0.0, 2.0 * math.pi, size=_param_count(m, r))
-            res = minimize(objective, x0, config.max_iterations)
+            res = single_search(objective, x0, config.max_iterations)
             searches.append(res)
             if res.fun < best - 1e-12:
                 best = float(res.fun)

@@ -1,6 +1,7 @@
 """One cut table per result: ``analyze`` is one GME report plus one
 factorization, and every report section is read off those two."""
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -10,12 +11,15 @@ import trigme.classify
 import trigme.cli
 import trigme.concurrence
 import trigme.triangles
-from trigme import (Cut, PureState, basis_state, f_total, finest_factorization,
-                    ghz_state, haar_random_pure, marginal_cuts,
-                    tensor_product, w_state, write_state_file)
+from trigme import (Cut, EdgeConvention, PureState, TriangleEdges,
+                    basis_state, f_total, finest_factorization, ghz_state,
+                    haar_random_pure, marginal_cuts, tensor_product, w_state,
+                    write_state_file)
 from trigme.cli import run_command
 from trigme.concurrence import all_cut_concurrences
+from trigme.reporting import AnalysisReport, canonical_json, emit_report
 from trigme.selftest import appendix_c_state, random_biseparable
+from oracles import analysis_dict
 
 
 @pytest.fixture
@@ -57,6 +61,43 @@ def test_analyze_builds_two_cut_tables(capsys, tmp_path, fixtures_dir,
     assert run_command(["analyze", str(path), "--json"] + extra) == 0
     capsys.readouterr()
     assert len(table_calls) == 2  # f_total, then finest_factorization
+
+
+def test_analyze_json_builds_no_triangle_record(capsys, tmp_path,
+                                                monkeypatch):
+    path = tmp_path / "haar8.json"
+    write_state_file(haar_random_pure([2] * 8, 808), path)
+    calls = []
+    checked = TriangleEdges.__post_init__
+
+    def counted(edges):
+        calls.append(edges.vertex_labels)
+        checked(edges)
+
+    monkeypatch.setattr(TriangleEdges, "__post_init__", counted)
+    assert run_command(["analyze", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["areas_above_one"]
+    assert calls == []
+
+
+@pytest.mark.parametrize("conv", list(EdgeConvention))
+@pytest.mark.parametrize("psi", [
+    haar_random_pure([2] * 8, 808), haar_random_pure([3, 2, 2], 8),
+    ghz_state(4), appendix_c_state(),
+    tensor_product([haar_random_pure([2] * 3, 4219),
+                    haar_random_pure([2] * 5, 4220)]),
+    tensor_product([haar_random_pure([2, 2], 4), haar_random_pure([2], 5),
+                    haar_random_pure([2, 2, 2], 6)])],
+    ids=["haar-2^8", "haar-3x2x2", "ghz4", "appendix_c", "bisep-3|5",
+         "three-blocks"])
+def test_json_rows_are_the_records_dict_written_by_json(psi, conv):
+    report = AnalysisReport("digest", 1e-9, 0, f_total(psi, conv),
+                            finest_factorization(psi, tol=1e-6),
+                            ("a \"quoted\" notice",))
+    text = emit_report(report, True)
+    assert text == canonical_json(analysis_dict(report))
+    assert text == json.dumps(json.loads(text), sort_keys=True,
+                              indent=1) + "\n"
 
 
 @pytest.mark.parametrize("name, extra", [

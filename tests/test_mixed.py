@@ -471,8 +471,7 @@ def test_lockstep_roof_equals_the_sequential_search(make_rho, config, conv,
     rho = make_rho()
     value, spectral, history, members, searches = sequential_roof(
         rho, conv, config)
-    # the oracle's minimize runs each search through _lockstep alone, so
-    # the spy goes in after it, to record the roof's calls only
+    # the oracle drives each search itself, never through _lockstep
     monkeypatch.setattr(trigme.mixed, "_lockstep", recorded)
     result = convex_roof_upper_bound(rho, conv, config)
     assert repr(result.value) == repr(value)

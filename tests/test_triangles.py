@@ -14,7 +14,7 @@ from trigme.concurrence import _cut_plan
 from trigme.states import haar_random_unitary
 from trigme.triangles import _level_plan
 from trigme.selftest import permute_parties, random_biseparable
-from oracles import coordinate_area_normalized
+from oracles import coordinate_area_normalized, eager_inventory
 
 CONC = EdgeConvention.CONCURRENCE
 SQ = EdgeConvention.SQUARED
@@ -292,3 +292,24 @@ def test_inventory_reads_the_cached_level_labels():
     level2 = [t.vertex_labels for t in report.triangles if t.level == 2]
     assert len(level2) == len(labels) == 6 * math.comb(5, 2)
     assert all(got is want for got, want in zip(level2, labels))
+
+
+# The Haar states, GHZ4 and W4, and the biseparable 2^6 golden state
+INVENTORY_STATES = {
+    **{f"haar-2^{n}": (lambda n=n: haar_random_pure((2,) * n, 700 + n))
+       for n in range(3, 9)},
+    "ghz4": lambda: ghz_state(4),
+    "w4": lambda: w_state(4),
+    "biseparable6-4207": lambda: tensor_product(
+        [haar_random_pure([2, 2], 4207), haar_random_pure([2] * 4, 4208)]),
+}
+
+
+@pytest.mark.parametrize("conv", [CONC, SQ])
+@pytest.mark.parametrize("name", sorted(INVENTORY_STATES))
+def test_inventory_views_equal_the_eager_records(name, conv):
+    psi = INVENTORY_STATES[name]()
+    report = f_total(psi, conv)
+    got = (report.triangles, report.zero_triangles, report.areas_above_one)
+    assert repr(got) == repr(eager_inventory(psi, conv))
+    assert f_total(psi, conv) == report
