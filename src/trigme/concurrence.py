@@ -4,7 +4,8 @@ Wootters concurrence, and checkers for the polygamy inequalities.
 For a pure state and a bipartition S | S^c the concurrence is
 ``sqrt(2 * (1 - Tr(rho_S^2)))``; the radicand is clamped at zero since
 purity can exceed 1 by rounding at the 1e-15 level.  Cut tables call
-``concurrence_pure`` on the canonical cuts cached in ``_cut_plan``.
+``concurrence_pure`` on the canonical cuts cached in ``_cut_plan``, once
+per state and cut: the state keeps the values.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ def _subset_purity(amps: np.ndarray, dims: tuple[int, ...],
 
 
 # cuts: canonical cuts by size, then lexicographically; index: either
-# side as a sorted party tuple -> position in ``cuts``.
-_CutPlan = namedtuple("_CutPlan", "cuts index")
+# side as a sorted party tuple -> position in ``cuts``; ends[s]: the
+# number of cuts with |S| <= s.
+_CutPlan = namedtuple("_CutPlan", "cuts index ends")
 
 
 @lru_cache(maxsize=32)  # plans kept, one per number of parties
@@ -70,7 +72,9 @@ def _cut_plan(nparties: int) -> _CutPlan:
         for comb in combinations(range(1, nparties + 1), size)))
     index = {side: k for k, cut in enumerate(cuts)
              for side in (cut.parties, cut.complement)}
-    return _CutPlan(cuts, index)
+    ends = tuple(sum(len(cut.parties) <= s for cut in cuts)
+                 for s in range(nparties // 2 + 1))
+    return _CutPlan(cuts, index, ends)
 
 
 def concurrence_pure(psi: PureState, cut) -> float:
@@ -119,14 +123,26 @@ class CutConcurrenceTable:
 
 def all_cut_concurrences(psi: PureState,
                          max_subset_size: int) -> CutConcurrenceTable:
-    """Concurrence of every canonical cut with |S| <= max_subset_size."""
+    """Concurrence of every canonical cut with |S| <= max_subset_size.
+
+    The state keeps the values in plan order, which is by subset size:
+    a later table reads them and computes only the cuts it lacks.
+    """
     n = psi.nparties
     if not 1 <= max_subset_size <= n // 2:
         raise ValidationError(
             f"max_subset_size {max_subset_size} out of range 1..{n // 2}")
-    entries = {cut: concurrence_pure(psi, cut) for cut in _cut_plan(n).cuts
-               if len(cut.parties) <= max_subset_size}
-    return CutConcurrenceTable(psi.dims, max_subset_size, entries)
+    plan = _cut_plan(n)
+    end = plan.ends[max_subset_size]
+    kept = psi._cut_values
+    start = len(kept)
+    if start < end:
+        # a slice write, not an append: a thread that filled the same
+        # positions meanwhile wrote the same values
+        kept[start:end] = [concurrence_pure(psi, cut)
+                           for cut in plan.cuts[start:end]]
+    return CutConcurrenceTable(psi.dims, max_subset_size,
+                               dict(zip(plan.cuts, kept[:end])))
 
 
 @lru_cache(maxsize=32)  # one per dims

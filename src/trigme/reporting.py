@@ -11,6 +11,7 @@ from functools import lru_cache
 
 from . import __version__
 from .classify import Factorization
+from .concurrence import _cut_plan
 from .stateio import indented_json
 from .triangles import GmeReport, _level_plan
 
@@ -57,6 +58,22 @@ def _vertex_texts(nparties: int, level: int, render) -> tuple[str, ...]:
     return tuple(map(render, _level_plan(nparties, level)[0]))
 
 
+@lru_cache(maxsize=32)  # one per number of parties, like the cut plan
+def _cut_labels(nparties: int) -> tuple[tuple[int, str], ...]:
+    """(plan position, label) of each canonical cut, in sorted-``Cut``
+    order."""
+    cuts = _cut_plan(nparties).cuts
+    return tuple((k, cuts[k].label())
+                 for k in sorted(range(len(cuts)), key=cuts.__getitem__))
+
+
+def _cut_rows(gme: GmeReport) -> list[tuple[str, float]]:
+    """(label, value) of each cut in sorted-``Cut`` order, from the
+    report's cut table, which is in plan order."""
+    values = list(gme.cut_values.values())
+    return [(label, values[k]) for k, label in _cut_labels(len(gme.dims))]
+
+
 def _inventory(gme: GmeReport, render) -> tuple[list, list]:
     """The zero-area and the above-one triangles from the report's
     columns: (level, vertices, area, zero edges) and (level, vertices,
@@ -94,8 +111,7 @@ class AnalysisReport:
             "tolerance": self.tolerance,
             "seed": self.seed,
             "convention": gme.convention.value,
-            "cut_concurrences": {cut.label(): v
-                                 for cut, v in sorted(gme.cut_values.items())},
+            "cut_concurrences": dict(_cut_rows(gme)),
             "level_values": {str(l): v
                              for l, v in sorted(gme.level_values.items())},
             "f_total": gme.value,
@@ -135,8 +151,8 @@ class AnalysisReport:
         for l, v in sorted(gme.level_values.items()):
             lines.append(f"  level {l}: {v:.6f}")
         lines.append("cut concurrences:")
-        for cut, v in sorted(gme.cut_values.items()):
-            lines.append(f"  {cut.label():<12} {v:.10g}")
+        for label, v in _cut_rows(gme):
+            lines.append(f"  {label:<12} {v:.10g}")
         factors = _subsets_text(self.factorization.factors)
         tag = "GME" if self.factorization.is_gme else "not GME"
         lines.append(f"factorization: {factors}  ({tag})")

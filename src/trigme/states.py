@@ -2,10 +2,12 @@
 
 Amplitudes are stored row-major in party order: the flat index of the
 basis state ``|c_1 c_2 ... c_N>`` is ``sum_k c_k * prod_{j>k} d_j``.
-Parties are labeled ``1..N`` in the public API.  All objects are
-immutable after construction and every operation is a pure function of
-its inputs plus an explicit seed, so everything here is safe to call
-concurrently.
+Parties are labeled ``1..N`` in the public API.  Every operation is a
+pure function of its inputs plus an explicit seed, and every object's
+data is read-only after construction.  A ``PureState`` keeps the cut
+concurrences computed from it (see ``concurrence.all_cut_concurrences``):
+each is written once and is a pure function of the read-only
+amplitudes, so everything here is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -179,6 +181,9 @@ class PureState:
         amps.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "amplitudes", amps)
+        # cut concurrences in cut-plan order, a prefix that grows as
+        # larger tables are asked for
+        object.__setattr__(self, "_cut_values", [])
 
     @property
     def nparties(self) -> int:

@@ -306,18 +306,18 @@ def _measure(values: np.ndarray, n: int, conv: EdgeConvention,
     live = [True] * len(values)
     for level in range(1, max(1, (n - 2) // 2) + 1):
         raw, areas = _level_areas(values, n, level, conv, live)
+        if inventory is not None:
+            inventory.append(LevelColumns(level, _level_plan(n, level)[0],
+                                          raw[0], np.array(areas[0])))
+        if n == 3:
+            return [({1: v}, v) for v in
+                    (a[0] if a[0] > ZERO_AREA_TOL else 0.0 for a in areas)]
         for i, row in enumerate(rows):
             if live[i]:
                 row[level] = _geometric_mean(areas[i], ZERO_AREA_TOL)
                 live[i] = inventory is not None or row[level] != 0.0
-        if inventory is not None:
-            inventory.append(LevelColumns(level, _level_plan(n, level)[0],
-                                          raw[0], np.array(areas[0])))
-        elif not any(live):
+        if inventory is None and not any(live):
             break
-    if n == 3:
-        return [({1: v}, v) for v in (a[0] if a[0] > ZERO_AREA_TOL else 0.0
-                                      for a in areas)]
     return [(v, _geometric_mean(list(v.values()), 0.0)) for v in rows]
 
 

@@ -1,5 +1,6 @@
 """One cut table per result: ``analyze`` is one GME report plus one
-factorization, and every report section is read off those two."""
+factorization, and every report section is read off those two.  A state
+keeps its cut values, so the two tables compute each cut once."""
 
 import json
 import tracemalloc
@@ -12,7 +13,8 @@ import trigme.cli
 import trigme.concurrence
 import trigme.triangles
 from trigme import (Cut, EdgeConvention, PureState, TriangleEdges,
-                    basis_state, f_total, finest_factorization, ghz_state,
+                    basis_state, check_polygamy, f_level, f_total,
+                    finest_factorization, ghz_state, gme_value,
                     haar_random_pure, marginal_cuts, tensor_product, w_state,
                     write_state_file)
 from trigme.cli import run_command
@@ -24,7 +26,8 @@ from oracles import analysis_dict
 
 @pytest.fixture
 def table_calls(monkeypatch):
-    """Every cut table built through the triangle, classify or CLI layer."""
+    """Every cut table asked for through the triangle, classify or CLI
+    layer."""
     calls = []
 
     def counted(psi, max_subset_size):
@@ -60,7 +63,27 @@ def test_analyze_builds_two_cut_tables(capsys, tmp_path, fixtures_dir,
     path = _document(name, tmp_path, fixtures_dir)
     assert run_command(["analyze", str(path), "--json"] + extra) == 0
     capsys.readouterr()
-    assert len(table_calls) == 2  # f_total, then finest_factorization
+    # finest_factorization, then f_total, which reads the kept values
+    assert len(table_calls) == 2
+
+
+@pytest.mark.parametrize("name, extra", [
+    ("ghz4.json", []), ("w4.json", []),
+    ("appendix_c.json", ["--tol", "1e-3"]), ("haar-2^6", [])])
+def test_analyze_computes_each_cut_once(capsys, tmp_path, fixtures_dir,
+                                        monkeypatch, name, extra):
+    path = _document(name, tmp_path, fixtures_dir)
+    calls = []
+    original = trigme.concurrence.concurrence_pure
+
+    def counted(psi, cut):
+        calls.append(cut)
+        return original(psi, cut)
+
+    monkeypatch.setattr(trigme.concurrence, "concurrence_pure", counted)
+    assert run_command(["analyze", str(path), "--json"] + extra) == 0
+    n = len(json.loads(capsys.readouterr().out)["dims"])
+    assert calls == list(trigme.concurrence._cut_plan(n).cuts)
 
 
 def test_analyze_json_builds_no_triangle_record(capsys, tmp_path,
@@ -119,6 +142,51 @@ def test_gme_report_carries_its_cut_table(psi):
     entries = all_cut_concurrences(psi, psi.nparties // 2).entries
     # the same cuts with the same values, in the same order
     assert list(f_total(psi).cut_values.items()) == list(entries.items())
+
+
+# ------------------------------------------------- kept cut values
+
+def _measures(psi, conv) -> list[str]:
+    """Every result read off a state's cut values, as ``repr`` text."""
+    rep = f_total(psi, conv)
+    out = [repr(rep.value), repr(rep.level_values), repr(rep.cut_values),
+           repr(gme_value(psi, conv))]
+    out += [repr(f_level(psi, level, conv))
+            for level in range(1, psi.nparties - 2)]
+    out += [repr(finest_factorization(psi, tol)) for tol in (1e-6, 1e-3)]
+    return out + [repr(check_polygamy(psi))]
+
+
+@pytest.mark.parametrize("conv", list(EdgeConvention))
+@pytest.mark.parametrize("make", [
+    *(lambda n=n: haar_random_pure([2] * n, 230 + n) for n in range(3, 9)),
+    lambda: haar_random_pure([3, 2, 2], 239), lambda: ghz_state(5),
+    lambda: w_state(6),
+    lambda: tensor_product([haar_random_pure([2, 2], 240),
+                            haar_random_pure([2] * 4, 241)])],
+    ids=[f"haar-2^{n}" for n in range(3, 9)]
+    + ["haar-3x2x2", "ghz5", "w6", "bisep-2|4"])
+def test_kept_cut_values_change_no_result(make, conv):
+    want = _measures(make(), conv)
+    n = make().nparties
+    for sizes in [(1, n // 2), (n // 2, 1)]:
+        psi = make()
+        for size in sizes:
+            all_cut_concurrences(psi, size)
+        assert _measures(psi, conv) == want
+
+
+def test_editing_a_table_leaves_the_kept_values():
+    psi = haar_random_pure([2] * 6, 236)
+    want = dict(all_cut_concurrences(psi, 3).entries)
+    for size in (1, 3):
+        table = all_cut_concurrences(psi, size)
+        for cut in table.entries:
+            table.entries[cut] = -1.0
+        table.entries.clear()
+    assert all_cut_concurrences(psi, 3).entries == want
+    assert all_cut_concurrences(psi, 2).entries == {
+        cut: v for cut, v in want.items() if len(cut.parties) <= 2}
 
 
 @pytest.mark.parametrize("psi", [

@@ -81,6 +81,7 @@ def test_cut_counts_follow_closed_form():
             if 2 * k == n:
                 want -= math.comb(n, k) // 2
             assert sum(len(c.parties) <= k for c in plan.cuts) == want
+            assert plan.ends[k] == want
         # every subset and its complement map to the same cut
         assert len(plan.index) == 2 * len(plan.cuts)
         for side, pos in plan.index.items():
