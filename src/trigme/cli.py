@@ -12,6 +12,7 @@ import functools
 import hashlib
 import math
 import os
+import stat
 import sys
 from pathlib import Path
 
@@ -73,7 +74,15 @@ def _convention(name: str | None) -> EdgeConvention:
 
 
 def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """sha256 of a document, read again after parsing: only a regular
+    file still holds the parsed bytes, a pipe would hash nothing."""
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            raise ValidationError(f"{path}: not a regular file, so its "
+                                  "input digest cannot be read")
+        return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    except OSError as exc:
+        raise TrigmeError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -161,12 +170,13 @@ def _cmd_convex_roof(ns) -> int:
     sizes = None if ns.ensemble_size is None else (ns.ensemble_size,)
     config = ConvexRoofConfig(ensemble_sizes=sizes, restarts=ns.restarts,
                               seed=seed)
+    digest = _digest(ns.file) if ns.json else None  # refuse before the search
     result = convex_roof_upper_bound(state, config=config)
     weights = [p for p, _ in result.decomposition.members]
     if ns.json:
         payload = {
             "tool_version": __version__,
-            "input_digest": _digest(ns.file),
+            "input_digest": digest,
             "convention": result.convention.value,
             "upper_bound": result.value,
             "spectral_value": result.spectral_value,

@@ -480,12 +480,13 @@ def convex_roof_upper_bound(
         return _ensemble_values(sub, [_isometry(m, r, x) for m, x in batch],
                                 rho.dims, spec.cut, conv)
 
-    # Spectral baseline: the eigen-ensemble, at rank 1 the spectrum's own
-    # pure state at weight 1; only the search is batched.
-    members = ([(1.0, spec.pure)] if spec.pure is not None
-               else _ensemble_members(sub, np.eye(r), rho.dims, spec.cut))
+    # Spectral baseline, checked before any search (its weights decide the
+    # refusal): the eigen-ensemble, at rank 1 the pure state at weight 1.
+    decomp = Decomposition(tuple(
+        [(1.0, spec.pure)] if spec.pure is not None
+        else _ensemble_members(sub, np.eye(r), rho.dims, spec.cut)))
     spectral_value = best_value = math.fsum(
-        p * gme_value(psi, conv) for p, psi in members)
+        p * gme_value(psi, conv) for p, psi in decomp.members)
     history = [best_value]
 
     # Search k = s * restarts + i starts from the k-th child seed of
@@ -522,9 +523,8 @@ def convex_roof_upper_bound(
     # a skipped or dropped search keeps the incumbent
     history.extend([best_value] * (1 + total - len(history)))
     if winner is not None:
-        members = _ensemble_members(sub, _isometry(*winner), rho.dims,
-                                    spec.cut)
-    decomp = Decomposition(tuple(members))
+        decomp = Decomposition(tuple(_ensemble_members(
+            sub, _isometry(*winner), rho.dims, spec.cut)))
     err = 0.0 if spec.pure is rho else decomposition_mixture_error(rho, decomp)
     # rho is reproduced up to the eigenvalues the rank cut dropped, whose
     # weight a rank-1 member at weight 1 carries as well

@@ -240,12 +240,11 @@ def _level_plan(nparties: int, level: int) -> tuple[tuple, np.ndarray]:
 
 
 def _heron(raw: np.ndarray, edges: np.ndarray, conv: EdgeConvention,
-           labels, live: list[bool] | None = None) -> list[list[float]]:
+           labels) -> list[list[float]]:
     """Areas (m lists of T) of triangles with edge concurrences ``raw``
     and ``conv`` edges ``edges``, both (m, 3, T), vertices ``labels``.
     The longest edge may pass the half-perimeter by 1e-9 and the
-    radicand fall to -1e-9; a breach raises unless its row is marked
-    False in ``live``."""
+    radicand fall to -1e-9; a breach raises."""
     q = 0.5 * (edges[:, 0] + edges[:, 1] + edges[:, 2])
     gap = q[:, None] - edges  # Q - a, Q - b, Q - c
     rad = (16.0 / 3.0) * q * gap[:, 0] * gap[:, 1] * gap[:, 2]
@@ -258,8 +257,6 @@ def _heron(raw: np.ndarray, edges: np.ndarray, conv: EdgeConvention,
     slack = TRIANGLE_SLACK_TOL + (edges * near).sum(axis=1)
     bad = ((edges.max(axis=1) > q + slack)
            | (~zero & (rad < -TRIANGLE_SLACK_TOL)))
-    if live is not None and bad.any():
-        bad &= np.array(live)[:, None]
     if bad.any():
         i, k = np.unravel_index(np.argmax(bad), bad.shape)
         raise InternalInvariantError(
@@ -270,15 +267,14 @@ def _heron(raw: np.ndarray, edges: np.ndarray, conv: EdgeConvention,
     return [[r ** e for r in row] for row in np.maximum(rad, 0.0).tolist()]
 
 
-def _level_areas(values: np.ndarray, n: int, level: int,
-                 conv: EdgeConvention, live: list[bool] | None = None
+def _level_areas(values: np.ndarray, n: int, level: int, conv: EdgeConvention
                  ) -> tuple[np.ndarray, list[list[float]]]:
     """Raw edge concurrences (m, 3, T) and ``_heron`` areas (m lists of
     T) of a level, from rows of cut concurrences (m, K) in plan order."""
     labels, pos = _level_plan(n, level)
     raw = values[:, pos]
     edges = raw if conv is EdgeConvention.CONCURRENCE else raw * raw
-    return raw, _heron(raw, edges, conv, labels, live)
+    return raw, _heron(raw, edges, conv, labels)
 
 
 def _geometric_mean(values: list[float], floor: float) -> float:
@@ -298,26 +294,28 @@ def _measure(values: np.ndarray, n: int, conv: EdgeConvention,
              ) -> list[tuple[dict[int, float], float]]:
     """Level values and total of each row of cut concurrences (m, K).
 
-    A row stops at its first zero level unless ``inventory`` is given:
+    A row stops at its first zero level and leaves the batch, so later
+    levels neither measure nor judge it, unless ``inventory`` is given:
     then every level's ``LevelColumns`` of the first row is appended.
     At N = 3 both are the single triangle's area.
     """
     rows = [{} for _ in range(len(values))]
-    live = [True] * len(values)
+    live, batch = range(len(values)), values
     for level in range(1, max(1, (n - 2) // 2) + 1):
-        raw, areas = _level_areas(values, n, level, conv, live)
+        raw, areas = _level_areas(batch, n, level, conv)
         if inventory is not None:
             inventory.append(LevelColumns(level, _level_plan(n, level)[0],
                                           raw[0], np.array(areas[0])))
         if n == 3:
             return [({1: v}, v) for v in
                     (a[0] if a[0] > ZERO_AREA_TOL else 0.0 for a in areas)]
-        for i, row in enumerate(rows):
-            if live[i]:
-                row[level] = _geometric_mean(areas[i], ZERO_AREA_TOL)
-                live[i] = inventory is not None or row[level] != 0.0
-        if inventory is None and not any(live):
+        for i, row_areas in zip(live, areas):
+            rows[i][level] = _geometric_mean(row_areas, ZERO_AREA_TOL)
+        kept = [i for i in live if inventory is not None or rows[i][level]]
+        if not kept:
             break
+        if len(kept) < len(live):  # copy the batch only once a row stops
+            live, batch = kept, values[kept]
     return [(v, _geometric_mean(list(v.values()), 0.0)) for v in rows]
 
 

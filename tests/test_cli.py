@@ -14,8 +14,8 @@ import pytest
 import trigme
 import trigme.cli
 import trigme.selftest
-from trigme import (DensityMatrix, InternalInvariantError, haar_random_pure,
-                    parse_state_file)
+from trigme import (DensityMatrix, InternalInvariantError, TrigmeError,
+                    haar_random_pure, parse_state_file)
 from trigme.cli import run_command
 from trigme.selftest import CHECKS, run_selftest
 from trigme.stateio import render_state_document
@@ -535,6 +535,51 @@ def test_file_boundary_errors_exit_one_naming_the_path(capsys, tmp_path,
     assert err.startswith(f"trigme: error: {where.format(tmp=tmp_path)}: "
                           f"{reason}"), err
     assert "Traceback" not in err
+
+
+@pytest.fixture
+def piped_ghz4(fixtures_dir):
+    """``/dev/fd/<r>`` of a pipe holding ghz4's bytes, writer closed."""
+    r, w = os.pipe()
+    os.write(w, (fixtures_dir / "ghz4.json").read_bytes())
+    os.close(w)
+    yield f"/dev/fd/{r}"
+    os.close(r)
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze"], ["analyze", "--json"], ["witness", "--json"],
+    ["convex-roof", "--json"]])
+def test_a_piped_document_gets_no_digest_of_nothing(capsys, piped_ghz4,
+                                                    argv):
+    # parsing drains the pipe, so a second read for the digest would
+    # hash zero bytes (e3b0c442...)
+    code, out, err = run(capsys, argv[0], piped_ghz4, *argv[1:])
+    assert code == 1
+    assert "e3b0c442" not in out
+    assert err.startswith(f"trigme: error: {piped_ghz4}: not a regular "
+                          "file"), err
+    assert "Traceback" not in err
+
+
+def test_a_piped_roof_is_refused_before_its_search(capsys, monkeypatch,
+                                                   piped_ghz4):
+    monkeypatch.setattr(trigme.cli, "convex_roof_upper_bound",
+                        lambda *args, **kwargs: pytest.fail("searched"))
+    code, _, err = run(capsys, "convex-roof", piped_ghz4, "--json")
+    assert code == 1
+    assert "not a regular file" in err
+
+
+def test_witness_text_reads_a_piped_document(capsys, piped_ghz4):
+    code, out, _ = run(capsys, "witness", piped_ghz4)
+    assert code == 0
+    assert "witness (concurrence): 1" in out
+
+
+def test_an_unreadable_digest_is_a_refusal(tmp_path):
+    with pytest.raises(TrigmeError, match="gone.json: No such file"):
+        trigme.cli._digest(tmp_path / "gone.json")
 
 
 # ------------------------------------------------------ argument checks

@@ -16,7 +16,7 @@ from trigme import (ConvexRoofConfig, Decomposition, DensityMatrix,
 from trigme.mixed import (WEIGHT_FLOOR, _ensemble, _ensemble_members,
                           _ensemble_values, _isometry, _param_count,
                           _spectrum)
-from trigme.states import _check_rows
+from trigme.states import _check_rows, haar_random_unitary
 from trigme.triangles import ZERO_AREA_TOL
 from trigme.stateio import fixture_path
 from oracles import (GHZ_MIX_ROOF_REFERENCE, ghz_000_mixture, givens_isometry,
@@ -503,6 +503,26 @@ def test_roof_of_a_loosely_loaded_state_scores_its_kept_spectrum():
     assert result.value <= result.spectral_value
     assert result.value == pytest.approx(0.0, abs=1e-9)
     assert decomposition_mixture_error(rho, result.decomposition) <= 3e-3
+
+
+def test_spectral_weights_the_rank_cut_refuses_stop_the_roof_unsearched(
+        monkeypatch):
+    # the rank cut at 1e-3 drops six eigenvalues of 9e-4, so the kept
+    # weights sum to 0.9946: no decomposition of this rank can pass
+    u = haar_random_unitary(8, np.random.default_rng(3))
+    spectrum = [0.5, 0.4946] + [9e-4] * 6
+    rho = DensityMatrix((2, 2, 2), (u * spectrum) @ u.conj().T, tol=1e-3)
+    started = []
+    original = trigme.mixed._nelder_mead
+
+    def spy(*args):
+        started.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(trigme.mixed, "_nelder_mead", spy)
+    with pytest.raises(ValidationError, match="weights sum to 0.9946"):
+        convex_roof_upper_bound(rho, CONC, ConvexRoofConfig(restarts=1))
+    assert started == []
 
 
 @pytest.mark.parametrize("measure", [witness, convex_roof_upper_bound])

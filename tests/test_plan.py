@@ -214,6 +214,32 @@ def test_rows_stopped_at_a_zero_level_skip_the_later_checks():
         _measure(values, 6, EdgeConvention.CONCURRENCE)
 
 
+def test_stopped_rows_leave_the_batch(monkeypatch):
+    # the same pair unedited: the product row stops at level 1, so only
+    # the Haar row reaches level 2, and no row's numbers change
+    states = [tensor_product([haar_random_pure([2], 50),
+                              haar_random_pure([2] * 5, 51)]),
+              haar_random_pure([2] * 6, 52)]
+    values = _cut_concurrences(
+        np.array([psi.amplitudes for psi in states]), (2,) * 6)
+    rows = []
+    original = trigme.triangles._heron
+
+    def spy(raw, *args):
+        rows.append(len(raw))
+        return original(raw, *args)
+
+    monkeypatch.setattr(trigme.triangles, "_heron", spy)
+    for conv in BOTH:
+        rows.clear()
+        batch = _measure(values, 6, conv)
+        assert rows == [2, 1]
+        for k, psi in enumerate(states):
+            [alone] = _measure(values[k:k + 1], 6, conv)
+            assert repr(batch[k]) == repr(alone)
+            assert repr(batch[k][1]) == repr(gme_value(psi, conv))
+
+
 def test_qudit_state_with_unequal_sides_uses_smaller_marginal(monkeypatch):
     # dims (5, 2, 2): the party-1 cut is cheaper on the {2,3} side
     sides = []
