@@ -8,6 +8,8 @@ and 3|5 2^8 products (triangles above one, and zero triangles), the
 ``witness --json`` outcome of the two mixed fixtures, the text and
 ``witness --json`` reports of the GHZ4 and W4 pure documents, the
 ``check-inequalities`` summary on seeded 2^4 and 3x3x3 Haar states,
+the ``classify`` output and the text and ``analyze --json`` reports
+of a GME 2^4 state with a marginal cut,
 ``repr`` of ``gme_value`` on seeded Haar states under both edge
 conventions, and
 ``repr`` of every number a small convex-roof search returns (value,
@@ -32,8 +34,8 @@ import numpy as np
 import pytest
 
 from trigme import (ConvexRoofConfig, DensityMatrix, EdgeConvention,
-                    convex_roof_upper_bound, gme_value, haar_random_pure,
-                    parse_state_file, tensor_product)
+                    PureState, convex_roof_upper_bound, ghz_state, gme_value,
+                    haar_random_pure, parse_state_file, tensor_product)
 from trigme.cli import run_command
 from trigme.stateio import fixture_path, write_state_file
 from oracles import ghz_000_mixture
@@ -49,6 +51,16 @@ ANALYZE_CASES = {
                         ("haar3-4003", []), ("haar3-4054", []))
     for conv in ("concurrence", "squared")
 }
+
+
+def near_product_ghz4(eps: float) -> PureState:
+    """A 2|2 Haar product plus ``eps`` GHZ4, normalised."""
+    product = tensor_product([haar_random_pure([2, 2], 4207),
+                              haar_random_pure([2, 2], 4208)])
+    v = product.amplitudes + eps * ghz_state(4).amplitudes
+    return PureState((2, 2, 2, 2), v / np.linalg.norm(v))
+
+
 # Seeded states, written out at test time.  Under the concurrence
 # convention, seed 4054's unrounded total and level value were once
 # exp(log(area)), one bit off the area that gme_value gives; they are
@@ -64,6 +76,7 @@ STATE_FILES = {
     "haar8-4218.json": lambda: haar_random_pure((2,) * 8, 4218),
     "biseparable8-4219.json": lambda: tensor_product(
         [haar_random_pure([2] * 3, 4219), haar_random_pure([2] * 5, 4220)]),
+    "marginal4-4207.json": lambda: near_product_ghz4(3e-6),
 }
 WITNESS_CASES = {
     f"witness-{name}": ["witness", name + ".json", "--json"]
@@ -74,7 +87,12 @@ CHECK_CASES = {
                                    "--trials", "4"],
     "check-inequalities-3x3x3": ["check-inequalities", "--dims", "3,3,3"],
 }
-CLI_CASES = {**ANALYZE_CASES, **WITNESS_CASES, **CHECK_CASES}
+# C(12|34) = 3.84e-6 is within 10x of the classifier's tolerance, so
+# the cut is reported as marginal by classify and analyze.
+CLASSIFY_CASES = {"classify-marginal4-4207": ["classify",
+                                             "marginal4-4207.json"]}
+CLI_CASES = {**ANALYZE_CASES, **WITNESS_CASES, **CHECK_CASES,
+             **CLASSIFY_CASES}
 # A pure document is scored as loaded; each file holds the text report
 # followed by the --json one.
 PURE_WITNESS_CASES = {
@@ -86,13 +104,14 @@ PURE_WITNESS_CASES = {
 # state, 18 (concurrence) and 10 (squared) are above area one; of the
 # 90 of the 2^6 state, 88 and 80; of the 504 of the 2^8 state, all,
 # over three levels.  The products have zero triangles: the 2^8 one
-# has 8, at levels 2 and 3, beside 458 and 434 above one.
+# has 8, at levels 2 and 3, beside 458 and 434 above one.  The GME
+# 2^4 state near a 2|2 product has the marginal cut 1,2|3,4.
 ANALYZE_TEXT_CASES = {
     f"analyze-{name}-{conv}": (
         ["analyze", name + ".json", "--convention", conv],
         ["analyze", name + ".json", "--convention", conv, "--json"])
     for name in ("haar5-4205", "haar6-4206", "biseparable6-4207",
-                 "haar8-4218", "biseparable8-4219")
+                 "haar8-4218", "biseparable8-4219", "marginal4-4207")
     for conv in ("concurrence", "squared")
 }
 GME_STATES = ([(f"haar-2^{n}", (2,) * n, 4000 + n) for n in range(4, 13)]
