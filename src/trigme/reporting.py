@@ -6,13 +6,14 @@ digits, so identical inputs produce byte-identical reports.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import __version__
 from .classify import Factorization
 from .concurrence import _cut_plan
-from .stateio import indented_json
+from .stateio import _json_list
 from .triangles import GmeReport, _level_plan
 
 __all__ = [
@@ -28,17 +29,20 @@ def fmt10(x: float) -> float:
     return float(f"{x:.10g}")
 
 
+def _rounded(obj):
+    """A copy of ``obj`` with every float value through :func:`fmt10`."""
+    if isinstance(obj, float):
+        return fmt10(obj)
+    if isinstance(obj, dict):
+        return {k: _rounded(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_rounded(v) for v in obj]
+    return obj
+
+
 def canonical_json(obj) -> str:
     """Indented JSON with sorted keys and every float value at 10 digits."""
-    return indented_json(obj, fmt10)
-
-
-def _json_list(items: list[str], newline: str = "\n") -> str:
-    """Item texts in a list as the JSON writer lays it out, each item on
-    a line of its own after ``newline + " "``."""
-    inner = newline + " "
-    return "[" + inner + ("," + inner).join(items) + newline + "]" \
-        if items else "[]"
+    return json.dumps(_rounded(obj), sort_keys=True, indent=1) + "\n"
 
 
 def _subsets_text(subsets) -> str:
@@ -47,7 +51,8 @@ def _subsets_text(subsets) -> str:
 
 
 def _subsets_json(subsets) -> str:
-    """Party subsets as the JSON writer lays them out in an inventory row."""
+    """Party subsets as :func:`canonical_json` lays them out in an
+    inventory row."""
     return _json_list([_json_list(list(map(str, v)), "\n    ")
                        for v in subsets], "\n   ")
 
@@ -102,7 +107,7 @@ class AnalysisReport:
 
     def to_json(self) -> str:
         """Canonical JSON: the inventory rows are written from the GME
-        report's columns, byte for byte as the JSON writer would."""
+        report's columns, byte for byte as :func:`canonical_json` would."""
         gme = self.gme
         sections = {
             "tool_version": __version__,
@@ -124,19 +129,18 @@ class AnalysisReport:
                               for c in self.factorization.marginal_cuts],
             "notices": list(self.notices),
         }
-        # each section is written at the top level, then indented one
-        # step: a JSON string never holds a raw newline
-        parts = {k: canonical_json(v)[:-1].replace("\n", "\n ")
-                 for k, v in sections.items()}
         zero, above = _inventory(gme, _subsets_json)
         row = '{\n   "area": %r,\n   "level": %d,\n   "vertices": %s%s\n  }'
-        parts["zero_triangles"] = _json_list([
+        zero_text = _json_list([
             row % (fmt10(a), l, v, ',\n   "zero_edges": ' + _subsets_json(e))
             for l, v, a, e in zero], "\n ")
-        parts["areas_above_one"] = _json_list([
+        above_text = _json_list([
             row % (fmt10(a), l, v, "") for l, v, a in above], "\n ")
-        body = ",\n ".join(f'"{k}": {v}' for k, v in sorted(parts.items()))
-        return "{\n " + body + "\n}\n"
+        # "areas_above_one" sorts before every section, "zero_triangles"
+        # after them all
+        body = canonical_json(sections)
+        return ('{\n "areas_above_one": ' + above_text + "," + body[1:-3]
+                + ',\n "zero_triangles": ' + zero_text + "\n}\n")
 
     def to_text(self) -> str:
         gme = self.gme

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -31,102 +30,14 @@ __all__ = [
     "write_state_file",
     "document_checksum",
     "fixture_path",
-    "indented_json",
 ]
 
-_INF = float("inf")
-_FLOAT, _INT, _STR = frozenset({float}), frozenset({int}), frozenset({str})
-
-
-def _float_text(x: float) -> str:
-    """A float as :mod:`json` spells it."""
-    if x != x:
-        return "NaN"
-    if x == _INF:
-        return "Infinity"
-    if x == -_INF:
-        return "-Infinity"
-    return float.__repr__(x)
-
-
-def _sorted_items(obj: dict) -> list:
-    if set(map(type, obj)) != _STR:
-        for key in obj:
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not "
-                                f"{key.__class__.__name__}")
-    return sorted(obj.items())  # unique keys: values never compare
-
-
-def _text(obj, newline: str, float_text) -> str:
-    """The text of ``obj``, its inner lines indented by ``newline``."""
-    kind = type(obj)
-    if kind is float:
-        return float_text(obj)
-    if kind is list or kind is tuple:
-        if not obj:
-            return "[]"
-        inner = newline + " "
-        sep = "," + inner
-        types = set(map(type, obj))
-        if types == _FLOAT:  # a flat list in one join
-            text = sep.join(map(float_text, obj))
-        elif types == _INT:
-            text = sep.join(map(int.__repr__, obj))
-        else:
-            text = sep.join([_text(v, inner, float_text) for v in obj])
-        return "[" + inner + text + newline + "]"
-    if kind is dict:
-        if not obj:
-            return "{}"
-        inner = newline + " "
-        return ("{" + inner
-                + ("," + inner).join([
-                    encode_basestring_ascii(k) + ": "
-                    + _text(v, inner, float_text)
-                    for k, v in _sorted_items(obj)])
-                + newline + "}")
-    if kind is str:
-        return encode_basestring_ascii(obj)
-    if kind is int:
-        return int.__repr__(obj)
-    # bool, None and subclasses, in the order json tests them
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        return float_text(obj)
-    if isinstance(obj, (list, tuple)):
-        return _text(list(obj), newline, float_text)
-    if isinstance(obj, dict):
-        return _text(dict(obj), newline, float_text)
-    raise TypeError(f"Object of type {obj.__class__.__name__} "
-                    f"is not JSON serializable")
-
-
-def indented_json(obj, round_float=None) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=1) + "\\n"``, byte for byte.
-
-    json's encoder runs in pure Python whenever ``indent`` is set; this
-    writer gives the same text in less time.  Keys must be str (json
-    would also take numbers, bool and None), tuples are written as
-    lists, and any other type raises ``TypeError`` as json does.
-    ``round_float``, when given, maps every float value before it is
-    written.
-    """
-    if round_float is None:
-        float_text = _float_text
-    else:
-        def float_text(x):
-            return _float_text(round_float(x))
-    return _text(obj, "\n", float_text) + "\n"
+def _json_list(items: list[str], newline: str = "\n") -> str:
+    """Item texts in a list as ``json.dumps(..., indent=1)`` lays it out,
+    each item on a line of its own after ``newline + " "``."""
+    inner = newline + " "
+    return "[" + inner + ("," + inner).join(items) + newline + "]" \
+        if items else "[]"
 
 
 def document_checksum(dims: list[int], kind: str, data) -> str:
@@ -274,8 +185,20 @@ def write_state_file(state: PureState | DensityMatrix, path,
 
 def render_state_document(state: PureState | DensityMatrix,
                           meta: dict | None = None) -> str:
-    """Document text with full-precision floats; ends with a newline."""
-    return indented_json(state_document(state, meta))
+    """``json.dumps(doc, sort_keys=True, indent=1) + "\\n"`` of the
+    document: json writes the envelope, and ``"data"``, which sorts
+    first, is laid out here from the state's finite floats."""
+    doc = state_document(state, meta)
+    data = doc.pop("data")
+    if doc["kind"] == "pure":
+        text = _json_list(["[\n   %r,\n   %r\n  ]" % (re, im)
+                           for re, im in data], "\n ")
+    else:
+        text = _json_list([_json_list(["[\n    %r,\n    %r\n   ]" % (re, im)
+                                       for re, im in row], "\n  ")
+                           for row in data], "\n ")
+    return ('{\n "data": ' + text + ","
+            + json.dumps(doc, sort_keys=True, indent=1)[1:] + "\n")
 
 
 def fixture_path(name: str) -> Path:

@@ -106,11 +106,6 @@ class TriangleEdges:
                 raise ValidationError(f"edge {name} is {e!r}: edges must "
                                       "be finite and nonnegative")
 
-    @property
-    def Q(self) -> float:
-        """Half-perimeter (a + b + c) / 2."""
-        return 0.5 * (self.a + self.b + self.c)
-
 
 @dataclass(frozen=True)
 class Triangle:

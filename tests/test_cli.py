@@ -537,6 +537,33 @@ def test_file_boundary_errors_exit_one_naming_the_path(capsys, tmp_path,
     assert "Traceback" not in err
 
 
+_PAIR = [0.5, 0.0]
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([], ": expected an object, got list"),
+    ({"dims": "x", "kind": "pure", "data": []},
+     ".dims: expected a nonempty list of integers, got 'x'"),
+    ({"dims": [2, True], "kind": "pure", "data": []},
+     ".dims: expected a nonempty list of integers, got [2, True]"),
+    ({"dims": [2], "kind": "pure", "data": {}}, ".data: expected a list"),
+    ({"dims": [2], "kind": "pure", "data": [_PAIR, _PAIR], "meta": 3},
+     ".meta: expected an object"),
+    ({"dims": [2, 2], "kind": "mixed", "data": [[_PAIR] * 4]},
+     ".data: expected 4 rows for dims [2, 2], got 1"),
+    ({"dims": [2], "kind": "mixed", "data": [[_PAIR] * 2, [_PAIR]]},
+     ".data[1]: expected a row of 2 entries"),
+    ({"dims": [2], "kind": "mixed", "data": [[_PAIR] * 2, 5]},
+     ".data[1]: expected a row of 2 entries"),
+])
+def test_malformed_documents_exit_one_with_the_exact_refusal(capsys, tmp_path,
+                                                             doc, message):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "witness", str(path))
+    assert (code, out, err) == (1, "", f"trigme: error: {path}{message}\n")
+
+
 @pytest.fixture
 def piped_ghz4(fixtures_dir):
     """``/dev/fd/<r>`` of a pipe holding ghz4's bytes, writer closed."""

@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from trigme import (Cut, DensityMatrix, PureState, ValidationError,
-                    all_cut_concurrences, basis_state, check_polygamy,
-                    concurrence_pure, ghz_state, haar_random_pure,
-                    partial_trace, tensor_product, w_state,
-                    wootters_concurrence)
+from trigme import (Cut, Decomposition, DensityMatrix, PureState,
+                    ValidationError, all_cut_concurrences, basis_state,
+                    check_polygamy, concurrence_pure,
+                    convex_roof_upper_bound, ghz_state, gme_value,
+                    haar_random_pure, partial_trace, tensor_product,
+                    w_state, wootters_concurrence)
 from oracles import brute_concurrence, pure_two_qubit_concurrence
 
 BELL = PureState((2, 2), np.array([1, 0, 0, 1]) / math.sqrt(2))
@@ -177,3 +178,31 @@ def test_polygamy_report_counts():
     assert len(rep.triangle_slacks) == 6
     assert len(rep.linear_entropy_slacks) == 6
     assert len(rep.all_slacks()) == 12 + 4 + 4 + 18
+
+
+# ------------------------------------------------------------ refusals
+
+GHZ4 = ghz_state(4)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: concurrence_pure(GHZ4, Cut.of((1,), 3)),
+     "cut is over 3 parties, state has 4"),
+    (lambda: partial_trace(GHZ4, Cut.of((1,), 3)),
+     "cut is over 3 parties, state has 4"),
+    (lambda: all_cut_concurrences(ghz_state(6), 1).value((1, 2)),
+     "cut (1, 2) exceeds enumerated size 1"),
+    (lambda: Decomposition(()), "decomposition needs at least one member"),
+    (lambda: Decomposition(((1.5, GHZ4), (-0.5, GHZ4))),
+     "decomposition weights must be positive"),
+    (lambda: convex_roof_upper_bound(BELL),
+     "convex roof needs at least 3 parties, got 2"),
+    (lambda: gme_value(BELL), "gme_value needs at least 3 parties, got 2"),
+    (lambda: Cut.of((1, 1), 3), "duplicate party labels in (1, 1)"),
+    (lambda: Cut((), 3),
+     "improper bipartition: subset must be nonempty and proper"),
+])
+def test_library_refusals_name_the_failed_check(call, message):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    assert str(exc.value) == message
