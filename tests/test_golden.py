@@ -11,7 +11,8 @@ and 3|5 2^8 products (triangles above one, and zero triangles), the
 the ``classify`` output and the text and ``analyze --json`` reports
 of a GME 2^4 state with a marginal cut,
 ``repr`` of ``gme_value`` on seeded Haar states under both edge
-conventions, and
+conventions, the same and every cut concurrence on seeded qudit states
+where some cuts are cheaper on their complement side, and
 ``repr`` of every number a small convex-roof search returns (value,
 spectral value, history and decomposition weights).  Each
 CLI golden holds the exit code, stdout and stderr, so a refusal (the
@@ -34,8 +35,9 @@ import numpy as np
 import pytest
 
 from trigme import (ConvexRoofConfig, DensityMatrix, EdgeConvention,
-                    PureState, convex_roof_upper_bound, ghz_state, gme_value,
-                    haar_random_pure, parse_state_file, tensor_product)
+                    PureState, all_cut_concurrences, convex_roof_upper_bound,
+                    ghz_state, gme_value, haar_random_pure, parse_state_file,
+                    tensor_product)
 from trigme.cli import run_command
 from trigme.stateio import fixture_path, write_state_file
 from oracles import ghz_000_mixture
@@ -117,7 +119,11 @@ ANALYZE_TEXT_CASES = {
 GME_STATES = ([(f"haar-2^{n}", (2,) * n, 4000 + n) for n in range(4, 13)]
               + [("haar-3x3x3x3", (3, 3, 3, 3), 4100),
                  ("haar-3x2x4x2x3", (3, 2, 4, 2, 3), 4101)])
-
+# Each has cuts whose marginal is smaller on the complement side: 1|2,3
+# of 5x2x2, the three 2|2 cuts of 6x2x2x2 and 1,2|3,4 of 2x7x2x3.
+COMPLEMENT_STATES = [("haar-5x2x2", (5, 2, 2), 4400),
+                     ("haar-6x2x2x2", (6, 2, 2, 2), 4401),
+                     ("haar-2x7x2x3", (2, 7, 2, 3), 4402)]
 
 
 def rank2_mixture(dims, seed: int) -> DensityMatrix:
@@ -171,6 +177,19 @@ def gme_lines() -> str:
     return "\n".join(lines) + "\n"
 
 
+def complement_lines() -> str:
+    lines = []
+    for label, dims, seed in COMPLEMENT_STATES:
+        psi = haar_random_pure(dims, seed)
+        for conv in EdgeConvention:
+            lines.append(f"{label} seed={seed} {conv.value} "
+                         f"{gme_value(psi, conv)!r}")
+        table = all_cut_concurrences(psi, len(dims) // 2)
+        for cut, value in table.entries.items():
+            lines.append(f"{label} seed={seed} cut {cut.label()} {value!r}")
+    return "\n".join(lines) + "\n"
+
+
 def roof_lines() -> str:
     lines = []
     for label, (make_rho, restarts, seed) in ROOF_CASES.items():
@@ -212,6 +231,11 @@ def test_gme_values_match_golden_bit_for_bit():
     assert gme_lines() == want
 
 
+def test_complement_side_cuts_match_golden_bit_for_bit():
+    want = (GOLDEN / "complement_values.txt").read_text(encoding="utf-8")
+    assert complement_lines() == want
+
+
 def test_roof_searches_match_golden_bit_for_bit():
     want = (GOLDEN / "roof_values.txt").read_text(encoding="utf-8")
     assert roof_lines() == want
@@ -226,6 +250,8 @@ def regenerate() -> None:
         (GOLDEN / f"{name}.out").write_text(
             "".join(map(cli_output, argvs)), encoding="utf-8")
     (GOLDEN / "gme_values.txt").write_text(gme_lines(), encoding="utf-8")
+    (GOLDEN / "complement_values.txt").write_text(complement_lines(),
+                                                  encoding="utf-8")
     (GOLDEN / "roof_values.txt").write_text(roof_lines(), encoding="utf-8")
 
 
