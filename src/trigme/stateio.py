@@ -165,14 +165,18 @@ def state_document(state: PureState | DensityMatrix,
                    meta: dict | None = None) -> dict:
     """Serialize a typed state into a document object.
 
-    A payload checksum is always recorded under ``meta.checksum``.
+    A payload checksum is always recorded under ``meta.checksum``, so
+    every key of ``meta`` must be a str.
     """
+    out_meta = dict(meta or {})
+    for key in out_meta:
+        if not isinstance(key, str):
+            raise ValidationError(f"meta key {key!r} is not a str")
     dims = [int(d) for d in state.dims]
     pure = isinstance(state, PureState)
     kind = "pure" if pure else "mixed"
     v = state.amplitudes if pure else state.entries
     data = np.stack([v.real, v.imag], axis=-1).tolist()
-    out_meta = dict(meta or {})
     out_meta["checksum"] = document_checksum(dims, kind, data)
     return {"dims": dims, "kind": kind, "data": data, "meta": out_meta}
 

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import math
 from pathlib import Path
 
@@ -42,6 +43,23 @@ def test_document_meta_checksum_round_trip():
     assert doc["meta"]["checksum"] == document_checksum(
         doc["dims"], doc["kind"], doc["data"])
     parse_state_document(doc)
+
+
+@pytest.mark.parametrize("key", [1, (1, 2), None, True, 2.5])
+def test_a_non_str_meta_key_is_refused_naming_the_key(tmp_path, key):
+    path = tmp_path / "state.json"
+    writers = (state_document, render_state_document,
+               lambda state, meta: write_state_file(state, path, meta))
+    for write in writers:
+        with pytest.raises(ValidationError) as info:
+            write(ghz_state(3), {"note": "x", key: "y"})
+        assert str(info.value) == f"meta key {key!r} is not a str"
+    assert not path.exists()
+
+
+def test_a_nested_int_meta_key_is_written_as_json_writes_it():
+    text = render_state_document(ghz_state(3), {"notes": {1: "x"}})
+    assert json.loads(text)["meta"]["notes"] == {"1": "x"}
 
 
 # ----------------------------------------------------------- parse errors
