@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ValidationError
-from .states import Cut, DensityMatrix, PureState, _pure_marginal
+from .states import Cut, DensityMatrix, PureState, _Layout, _pure_marginal
 
 SLACK_TOL = 1e-9
 
@@ -47,15 +47,14 @@ def _smaller_side(dims: tuple[int, ...], keep0: list[int]) -> list[int]:
             else [i for i in range(len(dims)) if i not in keep0])
 
 
-def _subset_purity(amps: np.ndarray, dims: tuple[int, ...],
-                   keep0: list[int]):
-    """Tr(rho_S^2) evaluated on the smaller side of the bipartition.
+def _subset_purity(amps: np.ndarray, dims: tuple[int, ...], side: _Layout):
+    """Tr(rho_S^2) evaluated on ``side``, the smaller side of the cut.
 
     A float for one state, or an array over the leading batch axes of
     a stack of states (..., D).
     """
-    g = _pure_marginal(amps, dims, _smaller_side(dims, keep0))
-    pur = (np.abs(g) ** 2).sum(axis=(-2, -1))
+    g = np.abs(_pure_marginal(amps, dims, side))
+    pur = np.square(g, out=g).sum(axis=(-2, -1))
     return float(pur) if amps.ndim == 1 else pur
 
 
@@ -77,6 +76,15 @@ def _cut_plan(nparties: int) -> _CutPlan:
     return _CutPlan(cuts, index, ends)
 
 
+@lru_cache(maxsize=32)  # one per dims
+def _cut_layouts(dims: tuple[int, ...]) -> tuple[_Layout, ...]:
+    """The layout of each canonical cut's smaller side, in plan order."""
+    shapes = {}
+    return tuple(
+        _Layout.of(dims, _smaller_side(dims, [p - 1 for p in cut.parties]),
+                   shapes) for cut in _cut_plan(len(dims)).cuts)
+
+
 def concurrence_pure(psi: PureState, cut) -> float:
     """Concurrence of a pure state across a bipartition.
 
@@ -91,7 +99,8 @@ def concurrence_pure(psi: PureState, cut) -> float:
     if c.nparties != psi.nparties:
         raise ValidationError(
             f"cut is over {c.nparties} parties, state has {psi.nparties}")
-    pur = _subset_purity(psi.amplitudes, psi.dims, [p - 1 for p in c.parties])
+    side = _cut_layouts(psi.dims)[_cut_plan(psi.nparties).index[c.parties]]
+    pur = _subset_purity(psi.amplitudes, psi.dims, side)
     return math.sqrt(max(0.0, 2.0 * (1.0 - pur)))
 
 
@@ -147,20 +156,17 @@ def all_cut_concurrences(psi: PureState,
 
 @lru_cache(maxsize=32)  # one per dims
 def _cut_groups(dims: tuple[int, ...]) -> tuple:
-    """Canonical cuts grouped by the shape (dk, dr) of the marginal on
-    their smaller side: per group, the cuts' plan positions, a gather
-    index (g, D) that puts each cut's smaller side first, and the shape.
+    """Canonical cuts grouped by the shape (dk, dr) of their layout: per
+    group, the cuts' plan positions, a gather index (g, D) that puts each
+    cut's smaller side first, and the layout of the gathered rows' side.
     """
     order = np.arange(math.prod(dims)).reshape(dims)
     groups = {}
-    for k, cut in enumerate(_cut_plan(len(dims)).cuts):
-        side = _smaller_side(dims, [p - 1 for p in cut.parties])
-        rest = [i for i in range(len(dims)) if i not in side]
-        dk = math.prod(dims[i] for i in side)
-        ks, index = groups.setdefault((dk, order.size // dk), ([], []))
+    for k, side in enumerate(_cut_layouts(dims)):
+        ks, index = groups.setdefault(side.shape, ([], []))
         ks.append(k)
-        index.append(order.transpose(side + rest).reshape(-1))
-    out = tuple((np.array(ks), np.array(index), shape)
+        index.append(order.transpose(side.axes).reshape(-1))
+    out = tuple((np.array(ks), np.array(index), _Layout.of(shape, [0], {}))
                 for shape, (ks, index) in groups.items())
     for ks, index, _ in out:  # shared by every caller, like the plan
         ks.setflags(write=False)
@@ -177,8 +183,8 @@ def _cut_concurrences(amps: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     equals ``concurrence_pure`` of its row and cut bit for bit.
     """
     pur = np.empty((len(amps), len(_cut_plan(len(dims)).cuts)))
-    for ks, index, shape in _cut_groups(dims):
-        pur[:, ks] = _subset_purity(amps[:, index], shape, [0])
+    for ks, index, side in _cut_groups(dims):
+        pur[:, ks] = _subset_purity(amps[:, index], side.shape, side)
     return np.sqrt(np.maximum(0.0, 2.0 * (1.0 - pur)))
 
 

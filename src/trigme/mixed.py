@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .concurrence import _cut_plan, _smaller_side
+from .concurrence import _cut_layouts, _cut_plan
 from .errors import InternalInvariantError, ValidationError
 from .states import DensityMatrix, PureState, _check_rows, _pure_marginal, \
     hermitian_eig
@@ -160,10 +160,8 @@ def _certified(rho: DensityMatrix, spec: Spectrum) -> bool:
     eigenvalue error both sides carry.
     """
     psi, dims = spec.vectors[:, 0], rho.dims
-    alpha = max(
-        np.linalg.eigvalsh(_pure_marginal(
-            psi, dims, _smaller_side(dims, [p - 1 for p in cut.parties])))[-1]
-        for cut in _cut_plan(len(dims)).cuts)
+    alpha = max(np.linalg.eigvalsh(_pure_marginal(psi, dims, side))[-1]
+                for side in _cut_layouts(dims))
     return spec.values[0] - alpha > spec.cut
 
 

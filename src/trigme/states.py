@@ -308,8 +308,8 @@ def tensor_product(states: Sequence[PureState]) -> PureState:
     return PureState(dims, amps, tol=max(tol, NORM_TOL))
 
 
-def _keep_axes(state_dims: tuple[int, ...], keep) -> list[int]:
-    """Resolve a Cut or iterable of 1-based labels to sorted 0-based axes."""
+def _keep_axes(state_dims: tuple[int, ...], keep) -> _Layout:
+    """Resolve a Cut or iterable of 1-based labels to their layout."""
     n = len(state_dims)
     if isinstance(keep, Cut):
         if keep.nparties != n:
@@ -321,7 +321,7 @@ def _keep_axes(state_dims: tuple[int, ...], keep) -> list[int]:
     if not labels or len(labels) == n:
         raise ValidationError("improper bipartition: keep must be a "
                               "nonempty proper subset")
-    return [p - 1 for p in labels]
+    return _Layout.of(state_dims, [p - 1 for p in labels], {})
 
 
 def _check_rows(dims: tuple[int, ...], rows: np.ndarray, tol: float) -> None:
@@ -340,31 +340,50 @@ def _check_rows(dims: tuple[int, ...], rows: np.ndarray, tol: float) -> None:
             PureState(dims, rows[i], tol=tol)
 
 
+@dataclass(frozen=True, slots=True)
+class _Layout:
+    """One side of a bipartition of ``dims``: ``axes`` puts its ``size``
+    axes (0-based, sorted; what iterating the layout yields) first, and
+    ``shape`` is the (dk, dr) matrix the amplitudes then take."""
+
+    axes: tuple[int, ...]
+    shape: tuple[int, int]
+    size: int
+
+    @classmethod
+    def of(cls, dims: tuple[int, ...], side, shapes: dict) -> "_Layout":
+        """The layout of ``side``; ``shapes`` shares equal shapes."""
+        rest = [i for i in range(len(dims)) if i not in side]
+        dk = math.prod(dims[i] for i in side)
+        shape = shapes.setdefault(dk, (dk, math.prod(dims) // dk))
+        return cls((*side, *rest), shape, len(side))
+
+    def __iter__(self):
+        return iter(self.axes[:self.size])
+
+    def __len__(self) -> int:
+        return self.size
+
+
 def _pure_marginal(amps: np.ndarray, dims: tuple[int, ...],
-                   keep0: list[int]) -> np.ndarray:
-    """Reduced density matrix of a pure state over 0-based axes keep0.
+                   keep0: _Layout) -> np.ndarray:
+    """Reduced density matrix of a pure state over the side ``keep0``.
 
     ``amps`` may carry leading batch axes, (..., D) -> (..., dk, dk);
     each matrix equals the one of its state alone, bit for bit.
     """
-    drop0 = [i for i in range(len(dims)) if i not in keep0]
-    dk = math.prod(dims[i] for i in keep0)
     lead = amps.shape[:-1]
-    axes = list(range(len(lead))) + [len(lead) + i for i in keep0 + drop0]
-    m = amps.reshape(lead + dims).transpose(axes).reshape(lead + (dk, -1))
+    axes = keep0.axes if not lead else (
+        *range(len(lead)), *(len(lead) + i for i in keep0.axes))
+    m = amps.reshape(lead + dims).transpose(axes).reshape(lead + keep0.shape)
     return m @ m.conj().swapaxes(-1, -2)
 
 
 def _mixed_marginal(mat: np.ndarray, dims: tuple[int, ...],
-                    keep0: list[int]) -> np.ndarray:
-    n = len(dims)
-    drop0 = [i for i in range(n) if i not in keep0]
-    dk = int(np.prod([dims[i] for i in keep0]))
-    dd = int(np.prod([dims[i] for i in drop0]))
-    t = mat.reshape(dims + dims)
-    perm = keep0 + drop0 + [n + a for a in keep0] + [n + a for a in drop0]
-    t = np.transpose(t, perm).reshape(dk, dd, dk, dd)
-    return np.einsum("ajbj->ab", t)
+                    keep0: _Layout) -> np.ndarray:
+    t = mat.reshape(dims + dims).transpose(
+        keep0.axes + tuple(len(dims) + i for i in keep0.axes))
+    return np.einsum("ajbj->ab", t.reshape(keep0.shape * 2))
 
 
 def partial_trace(state: PureState | DensityMatrix, keep) -> DensityMatrix:
@@ -381,12 +400,12 @@ def partial_trace(state: PureState | DensityMatrix, keep) -> DensityMatrix:
     DensityMatrix
         Reduced state on the kept parties, in ascending party order.
     """
-    keep0 = _keep_axes(state.dims, keep)
-    kept_dims = tuple(state.dims[i] for i in keep0)
+    side = _keep_axes(state.dims, keep)
+    kept_dims = tuple(state.dims[i] for i in side)
     if isinstance(state, PureState):
-        mat = _pure_marginal(state.amplitudes, state.dims, keep0)
+        mat = _pure_marginal(state.amplitudes, state.dims, side)
     else:
-        mat = _mixed_marginal(state.entries, state.dims, keep0)
+        mat = _mixed_marginal(state.entries, state.dims, side)
     return DensityMatrix(kept_dims, mat, tol=max(state.tol, NORM_TOL))
 
 

@@ -4,6 +4,8 @@ Everything here avoids the library's reshape/transpose machinery on
 purpose: marginals are built by explicit summation over basis indices,
 triangle areas come from coordinate geometry instead of Heron's
 formula, and the convex-roof reference is a plain parameter grid.
+The one exception is ``kernel_concurrence``, a bit-for-bit reference
+for the cut kernel.
 """
 
 import math
@@ -96,6 +98,22 @@ def brute_purity(rho) -> float:
 def brute_concurrence(amps, dims, subset0) -> float:
     rho = brute_marginal(amps, dims, subset0)
     return math.sqrt(max(0.0, 2.0 * (1.0 - brute_purity(rho))))
+
+
+def kernel_concurrence(amps, dims, keep0) -> float:
+    """One cut's concurrence as the library computed it before cut
+    layouts, step for step: the smaller side (ties keep ``keep0``), the
+    transposed copy that puts it first, the Gram product, then the sum
+    of squared moduli."""
+    dk = math.prod(dims[i] for i in keep0)
+    side = (keep0 if dk <= math.prod(dims) // dk
+            else [i for i in range(len(dims)) if i not in keep0])
+    rest = [i for i in range(len(dims)) if i not in side]
+    m = amps.reshape(dims).transpose(side + rest).reshape(
+        math.prod(dims[i] for i in side), -1)
+    g = m @ m.conj().T
+    pur = float((np.abs(g) ** 2).sum())
+    return math.sqrt(max(0.0, 2.0 * (1.0 - pur)))
 
 
 def pure_two_qubit_concurrence(amps) -> float:

@@ -9,7 +9,10 @@ from trigme import (Cut, Decomposition, DensityMatrix, PureState,
                     convex_roof_upper_bound, ghz_state, gme_value,
                     haar_random_pure, partial_trace, tensor_product,
                     w_state, wootters_concurrence)
-from oracles import brute_concurrence, pure_two_qubit_concurrence
+from trigme.concurrence import (_cut_concurrences, _cut_layouts, _cut_plan,
+                                _smaller_side)
+from oracles import (brute_concurrence, kernel_concurrence,
+                     pure_two_qubit_concurrence)
 
 BELL = PureState((2, 2), np.array([1, 0, 0, 1]) / math.sqrt(2))
 
@@ -103,6 +106,29 @@ def test_table_agrees_with_concurrence_pure():
     for cut, value in table.entries.items():
         assert value == pytest.approx(concurrence_pure(psi, cut),
                                       abs=1e-12)
+
+
+@pytest.mark.parametrize("dims", [(2,) * n for n in range(3, 11)] + [
+    (3,) * 5, (4,) * 4, (5, 2, 2), (6, 2, 2, 2), (2, 7, 2, 3)])
+def test_every_cut_matches_the_kernel_oracle_bit_for_bit(dims):
+    n = len(dims)
+    cuts = _cut_plan(n).cuts
+    layouts = _cut_layouts(dims)
+    for cut, side in zip(cuts, layouts, strict=True):
+        assert list(side) == _smaller_side(dims, [p - 1 for p in cut.parties])
+    with pytest.raises(TypeError):
+        layouts[0] = layouts[-1]
+    with pytest.raises(AttributeError):
+        layouts[0].axes = layouts[-1].axes
+    states = [haar_random_pure(dims, 4500 + k) for k in range(2)]
+    rows = _cut_concurrences(np.stack([psi.amplitudes for psi in states]),
+                             dims)
+    for psi, row in zip(states, rows):
+        table = all_cut_concurrences(psi, n // 2)
+        for cut, grouped in zip(cuts, row.tolist()):
+            want = kernel_concurrence(psi.amplitudes, dims,
+                                      [p - 1 for p in cut.parties])
+            assert repr(table.value(cut)) == repr(want) == repr(grouped)
 
 
 def test_appendix_c_cut_values(appendix_c_pure):
