@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -257,14 +258,21 @@ class ConvexRoofResult:
     history: tuple[float, ...] = field(repr=False)
 
 
+@lru_cache(maxsize=32)  # one per ensemble size
+def _identity(m: int) -> np.ndarray:
+    eye = np.eye(m, dtype=complex)
+    eye.setflags(write=False)  # shared by every isometry of size m
+    return eye
+
+
 def _isometry(m: int, r: int, params: np.ndarray) -> np.ndarray:
     """m x r matrix with orthonormal columns from rotation coordinates:
     the first r columns of the product of complex Givens rotations, one
     (angle, phase) pair per index pair p < q in order, times r column
     phases (row phases only rephase members).  A rotation with p >= r
     mixes only dropped columns, so it is skipped."""
-    u = np.eye(m, dtype=complex)
-    rot = np.eye(m, dtype=complex)  # reset to the identity after each use
+    u = _identity(m)
+    rot = u.copy()  # reset to the identity after each use
     angles = params.tolist()
     k = 0
     for p in range(r):
