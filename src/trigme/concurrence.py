@@ -66,9 +66,9 @@ _CutPlan = namedtuple("_CutPlan", "cuts index ends")
 
 @lru_cache(maxsize=32)  # plans kept, one per number of parties
 def _cut_plan(nparties: int) -> _CutPlan:
-    cuts = tuple(dict.fromkeys(
-        Cut.of(comb, nparties) for size in range(1, nparties // 2 + 1)
-        for comb in combinations(range(1, nparties + 1), size)))
+    cuts = tuple(Cut(comb, nparties) for size in range(1, nparties // 2 + 1)
+                 for comb in combinations(range(1, nparties + 1), size)
+                 if 2 * size < nparties or comb[0] == 1)
     index = {side: k for k, cut in enumerate(cuts)
              for side in (cut.parties, cut.complement)}
     ends = tuple(sum(len(cut.parties) <= s for cut in cuts)
@@ -76,13 +76,13 @@ def _cut_plan(nparties: int) -> _CutPlan:
     return _CutPlan(cuts, index, ends)
 
 
-@lru_cache(maxsize=32)  # one per dims
-def _cut_layouts(dims: tuple[int, ...]) -> tuple[_Layout, ...]:
-    """The layout of each canonical cut's smaller side, in plan order."""
-    shapes = {}
-    return tuple(
-        _Layout.of(dims, _smaller_side(dims, [p - 1 for p in cut.parties]),
-                   shapes) for cut in _cut_plan(len(dims)).cuts)
+# A pure-wide unit reads 511 + 1,023 + 2,047 = 3,581 (dims, cut) pairs,
+# so 4,096 holds them all; a larger plan cycles it, but a miss costs
+# about 4 us, and at that size each cut's Gram product far more.
+@lru_cache(maxsize=4096)
+def _cut_layout(dims: tuple[int, ...], parties: tuple[int, ...]) -> _Layout:
+    """The layout of the smaller side of the canonical cut ``parties``."""
+    return _Layout.of(dims, _smaller_side(dims, [p - 1 for p in parties]))
 
 
 def concurrence_pure(psi: PureState, cut) -> float:
@@ -99,8 +99,8 @@ def concurrence_pure(psi: PureState, cut) -> float:
     if c.nparties != psi.nparties:
         raise ValidationError(
             f"cut is over {c.nparties} parties, state has {psi.nparties}")
-    side = _cut_layouts(psi.dims)[_cut_plan(psi.nparties).index[c.parties]]
-    pur = _subset_purity(psi.amplitudes, psi.dims, side)
+    pur = _subset_purity(psi.amplitudes, psi.dims,
+                         _cut_layout(psi.dims, c.parties))
     return math.sqrt(max(0.0, 2.0 * (1.0 - pur)))
 
 
@@ -162,11 +162,12 @@ def _cut_groups(dims: tuple[int, ...]) -> tuple:
     """
     order = np.arange(math.prod(dims)).reshape(dims)
     groups = {}
-    for k, side in enumerate(_cut_layouts(dims)):
+    for k, cut in enumerate(_cut_plan(len(dims)).cuts):
+        side = _cut_layout(dims, cut.parties)
         ks, index = groups.setdefault(side.shape, ([], []))
         ks.append(k)
         index.append(order.transpose(side.axes).reshape(-1))
-    out = tuple((np.array(ks), np.array(index), _Layout.of(shape, [0], {}))
+    out = tuple((np.array(ks), np.array(index), _Layout.of(shape, [0]))
                 for shape, (ks, index) in groups.items())
     for ks, index, _ in out:  # shared by every caller, like the plan
         ks.setflags(write=False)
@@ -259,14 +260,15 @@ class PolygamyReport:
 def check_polygamy(psi: PureState) -> PolygamyReport:
     """Evaluate every polygamy inequality slack for a pure state.
 
-    Reads the cut table up to pairs; the linear entropy
-    ``1 - Tr(rho_S^2)`` of a side S is ``C_S^2 / 2``.
+    Reads the state's cut values up to pairs by plan position; the
+    linear entropy ``1 - Tr(rho_S^2)`` of a side S is ``C_S^2 / 2``.
     """
     n = psi.nparties
     if n < 3:
         raise ValidationError("polygamy checks need at least 3 parties")
-    table = all_cut_concurrences(psi, min(2, n // 2))
-    conc = {i: table.value((i,)) for i in range(1, n + 1)}
+    all_cut_concurrences(psi, min(2, n // 2))
+    kept, index = psi._cut_values, _cut_plan(n).index
+    conc = dict(enumerate(kept[:n], 1))
     conc_sq = {i: c * c for i, c in conc.items()}
 
     squared = {i: sum(conc_sq[j] for j in conc_sq if j != i) - conc_sq[i]
@@ -276,7 +278,7 @@ def check_polygamy(psi: PureState) -> PolygamyReport:
 
     lin_ent, triangle = {}, {}
     for i, j in combinations(conc, 2):
-        c_ij = table.value((i, j))
+        c_ij = kept[index[(i, j)]]
         t_i, t_j, t_ij = conc_sq[i] / 2, conc_sq[j] / 2, c_ij * c_ij / 2
         lin_ent[(i, j)] = (t_ij - abs(t_i - t_j), t_i + t_j - t_ij)
         triangle[(i, j)] = (conc[i] + conc[j] - c_ij,

@@ -30,7 +30,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .concurrence import _cut_layouts, _cut_plan
+from .concurrence import _cut_layout, _cut_plan
 from .errors import InternalInvariantError, ValidationError
 from .states import DensityMatrix, PureState, _check_rows, _pure_marginal, \
     hermitian_eig
@@ -161,8 +161,9 @@ def _certified(rho: DensityMatrix, spec: Spectrum) -> bool:
     eigenvalue error both sides carry.
     """
     psi, dims = spec.vectors[:, 0], rho.dims
-    alpha = max(np.linalg.eigvalsh(_pure_marginal(psi, dims, side))[-1]
-                for side in _cut_layouts(dims))
+    alpha = max(np.linalg.eigvalsh(
+        _pure_marginal(psi, dims, _cut_layout(dims, cut.parties)))[-1]
+        for cut in _cut_plan(len(dims)).cuts)
     return spec.values[0] - alpha > spec.cut
 
 

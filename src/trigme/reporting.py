@@ -95,8 +95,8 @@ def _inventory(gme: GmeReport, render) -> tuple[list, list]:
 @dataclass(frozen=True)
 class AnalysisReport:
     """Everything the analyze command reports about one pure state: one
-    GME report and one factorization, each carrying the cut values it
-    was built from."""
+    GME report, which carries the cut values it was built from, and one
+    factorization, which carries its factors and marginal cuts."""
 
     input_digest: str
     tolerance: float

@@ -146,7 +146,7 @@ def parse_state_file(path, tol: float = 1e-9) -> PureState | DensityMatrix:
                          f"{exc.start})") from exc
 
     def refuse(token: str):
-        raise ParseError(f"{p}: non-finite number {token} is not allowed")
+        raise ValueError(f"non-finite number {token} is not allowed")
 
     try:
         doc = json.loads(text, parse_constant=refuse)
@@ -154,7 +154,7 @@ def parse_state_file(path, tol: float = 1e-9) -> PureState | DensityMatrix:
         raise ParseError(
             f"{p}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
-    except ValueError as exc:  # an integer literal past the digit limit
+    except ValueError as exc:  # non-finite, or past the digit limit
         raise ParseError(f"{p}: {exc}") from exc
     except RecursionError:
         raise ParseError(f"{p}: JSON nested too deeply") from None
@@ -166,12 +166,18 @@ def state_document(state: PureState | DensityMatrix,
     """Serialize a typed state into a document object.
 
     A payload checksum is always recorded under ``meta.checksum``, so
-    every key of ``meta`` must be a str.
+    every key of ``meta`` must be a str; the rest of ``meta`` must be
+    JSON that :func:`parse_state_file` accepts, so no NaN or infinity.
     """
     out_meta = dict(meta or {})
     for key in out_meta:
         if not isinstance(key, str):
             raise ValidationError(f"meta key {key!r} is not a str")
+    try:
+        json.dumps(out_meta, sort_keys=True, allow_nan=False)
+    except (TypeError, ValueError, RecursionError) as exc:
+        raise ValidationError(
+            f"meta is not writable as JSON: {exc}") from None
     dims = [int(d) for d in state.dims]
     pure = isinstance(state, PureState)
     kind = "pure" if pure else "mixed"

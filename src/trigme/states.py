@@ -89,11 +89,8 @@ class Cut:
     def of(cls, subset: Iterable[int], nparties: int) -> "Cut":
         """Canonicalize ``subset`` (or its complement) into a Cut."""
         s = _party_tuple(subset, nparties)
-        if not s or len(s) == nparties:
-            raise ValidationError("improper bipartition: subset must be "
-                                  "nonempty and proper")
         comp = tuple(p for p in range(1, nparties + 1) if p not in s)
-        if len(s) < len(comp) or (len(s) == len(comp) and s[0] == 1):
+        if len(s) < len(comp) or (len(s) == len(comp) and 1 in s):
             return cls(s, nparties)
         return cls(comp, nparties)
 
@@ -321,7 +318,7 @@ def _keep_axes(state_dims: tuple[int, ...], keep) -> _Layout:
     if not labels or len(labels) == n:
         raise ValidationError("improper bipartition: keep must be a "
                               "nonempty proper subset")
-    return _Layout.of(state_dims, [p - 1 for p in labels], {})
+    return _Layout.of(state_dims, [p - 1 for p in labels])
 
 
 def _check_rows(dims: tuple[int, ...], rows: np.ndarray, tol: float) -> None:
@@ -351,12 +348,11 @@ class _Layout:
     size: int
 
     @classmethod
-    def of(cls, dims: tuple[int, ...], side, shapes: dict) -> "_Layout":
-        """The layout of ``side``; ``shapes`` shares equal shapes."""
+    def of(cls, dims: tuple[int, ...], side) -> "_Layout":
+        """The layout of ``side``."""
         rest = [i for i in range(len(dims)) if i not in side]
         dk = math.prod(dims[i] for i in side)
-        shape = shapes.setdefault(dk, (dk, math.prod(dims) // dk))
-        return cls((*side, *rest), shape, len(side))
+        return cls((*side, *rest), (dk, math.prod(dims) // dk), len(side))
 
     def __iter__(self):
         return iter(self.axes[:self.size])

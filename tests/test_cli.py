@@ -564,6 +564,18 @@ def test_malformed_documents_exit_one_with_the_exact_refusal(capsys, tmp_path,
     assert (code, out, err) == (1, "", f"trigme: error: {path}{message}\n")
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_number_is_refused_with_its_path_once(capsys, tmp_path,
+                                                          token):
+    path = tmp_path / "doc.json"
+    path.write_text('{"dims": [2], "kind": "pure", "data": '
+                    f'[[{token}, 0.0], [0.0, 0.0]]}}')
+    code, out, err = run(capsys, "analyze", str(path))
+    assert (code, out, err) == (
+        1, "", f"trigme: error: {path}: non-finite number {token} is not "
+        "allowed\n")
+
+
 @pytest.fixture
 def piped_ghz4(fixtures_dir):
     """``/dev/fd/<r>`` of a pipe holding ghz4's bytes, writer closed."""

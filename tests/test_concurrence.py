@@ -9,7 +9,7 @@ from trigme import (Cut, Decomposition, DensityMatrix, PureState,
                     convex_roof_upper_bound, ghz_state, gme_value,
                     haar_random_pure, partial_trace, tensor_product,
                     w_state, wootters_concurrence)
-from trigme.concurrence import (_cut_concurrences, _cut_layouts, _cut_plan,
+from trigme.concurrence import (_cut_concurrences, _cut_layout, _cut_plan,
                                 _smaller_side)
 from oracles import (brute_concurrence, kernel_concurrence,
                      pure_two_qubit_concurrence)
@@ -100,6 +100,15 @@ def test_table_lookup_names_a_party_count_mismatch():
         table.value(Cut.of((1,), 5))
 
 
+def test_one_cut_plans_no_more_than_its_own_cut():
+    psi = haar_random_pure([2] * 17, 29)
+    before = _cut_plan.cache_info()
+    value = concurrence_pure(psi, (17,))
+    assert _cut_plan.cache_info() == before
+    assert repr(value) == repr(kernel_concurrence(psi.amplitudes, psi.dims,
+                                                  [16]))
+
+
 def test_table_agrees_with_concurrence_pure():
     psi = haar_random_pure([2, 2, 2, 2], 11)
     table = all_cut_concurrences(psi, 2)
@@ -113,13 +122,11 @@ def test_table_agrees_with_concurrence_pure():
 def test_every_cut_matches_the_kernel_oracle_bit_for_bit(dims):
     n = len(dims)
     cuts = _cut_plan(n).cuts
-    layouts = _cut_layouts(dims)
-    for cut, side in zip(cuts, layouts, strict=True):
+    for cut in cuts:
+        side = _cut_layout(dims, cut.parties)
         assert list(side) == _smaller_side(dims, [p - 1 for p in cut.parties])
-    with pytest.raises(TypeError):
-        layouts[0] = layouts[-1]
-    with pytest.raises(AttributeError):
-        layouts[0].axes = layouts[-1].axes
+        with pytest.raises(AttributeError):
+            side.axes = side.axes[::-1]
     states = [haar_random_pure(dims, 4500 + k) for k in range(2)]
     rows = _cut_concurrences(np.stack([psi.amplitudes for psi in states]),
                              dims)

@@ -62,6 +62,33 @@ def test_a_nested_int_meta_key_is_written_as_json_writes_it():
     assert json.loads(text)["meta"]["notes"] == {"1": "x"}
 
 
+def _nested(depth: int) -> list:
+    out = []
+    for _ in range(depth):
+        out = [out]
+    return out
+
+
+@pytest.mark.parametrize("meta, problem", [
+    ({"x": float("inf")}, "Out of range float values"),
+    ({"notes": [float("nan")]}, "Out of range float values"),
+    ({"notes": {1: "x", "a": "y"}}, "'<' not supported"),
+    ({"notes": {(1, 2): "x"}}, "keys must be str"),
+    ({"notes": {1, 2}}, "Object of type set is not JSON serializable"),
+    ({"notes": _nested(100_000)}, "maximum recursion depth exceeded"),
+])
+def test_a_meta_the_reader_would_refuse_is_refused_before_writing(
+        tmp_path, meta, problem):
+    path = tmp_path / "state.json"
+    writers = (state_document, render_state_document,
+               lambda state, meta: write_state_file(state, path, meta))
+    for write in writers:
+        with pytest.raises(ValidationError,
+                           match=f"^meta is not writable as JSON: {problem}"):
+            write(ghz_state(3), meta)
+    assert not path.exists()
+
+
 # ----------------------------------------------------------- parse errors
 
 def test_invalid_json_reports_line_and_column(tmp_path):
@@ -190,8 +217,10 @@ def test_non_finite_json_numbers_are_rejected(tmp_path, token):
     path = tmp_path / "state.json"
     path.write_text('{"dims": [2], "kind": "pure", "data": '
                     f'[[{token}, 0.0], [0.0, 0.0]]}}')
-    with pytest.raises(ParseError, match=f"non-finite number {token}"):
+    with pytest.raises(ParseError) as info:
         parse_state_file(path)
+    assert str(info.value) == (f"{path}: non-finite number {token} is not "
+                               "allowed")
 
 
 def test_non_finite_values_in_a_parsed_document_are_rejected():
