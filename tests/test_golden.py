@@ -14,7 +14,9 @@ of a GME 2^4 state with a marginal cut,
 conventions, the same and every cut concurrence on seeded qudit states
 where some cuts are cheaper on their complement side, and
 ``repr`` of every number a small convex-roof search returns (value,
-spectral value, history and decomposition weights).  Each
+spectral value, history and decomposition weights), and every cut
+concurrence and ``gme_value`` of seeded 16^4 and 24^4 states, whose
+marginals are large enough to be built block by block.  Each
 CLI golden holds the exit code, stdout and stderr, so a refusal (the
 rounded ``appendix_e_alt`` fails the witness's 1e-9 trace check) is
 pinned as well.  A change that alters any value in its last bit, or
@@ -26,6 +28,8 @@ Regenerate (only when a value is meant to change) with::
 """
 
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -126,6 +130,12 @@ COMPLEMENT_STATES = [("haar-5x2x2", (5, 2, 2), 4400),
                      ("haar-2x7x2x3", (2, 7, 2, 3), 4402)]
 
 
+# Their cut marginals have 16 to 576 rows, so each size rule of the
+# Gram product is taken.  These values depend on the BLAS thread count
+# (README), so they are computed and pinned with one thread.
+LARGE_STATES = [("haar-16^4", (16,) * 4, 1), ("haar-24^4", (24,) * 4, 2)]
+
+
 def rank2_mixture(dims, seed: int) -> DensityMatrix:
     """5/8 and 3/8 of two seeded Haar states."""
     a, b = (haar_random_pure(dims, seed + k).amplitudes for k in (0, 1))
@@ -190,6 +200,35 @@ def complement_lines() -> str:
     return "\n".join(lines) + "\n"
 
 
+def large_marginal_lines() -> str:
+    lines = []
+    for label, dims, seed in LARGE_STATES:
+        psi = haar_random_pure(dims, seed)
+        table = all_cut_concurrences(psi, len(dims) // 2)
+        for cut, value in table.entries.items():
+            lines.append(f"{label} seed={seed} cut {cut.label()} {value!r}")
+        for conv in EdgeConvention:
+            lines.append(f"{label} seed={seed} {conv.value} "
+                         f"{gme_value(psi, conv)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def one_blas_thread(name: str) -> str:
+    """What this module's function ``name`` returns, computed in a
+    fresh process whose BLAS runs one thread."""
+    here = Path(__file__).resolve().parent
+    path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
+                                         os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, test_golden; "
+         f"sys.stdout.write(test_golden.{name}())"],
+        capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def roof_lines() -> str:
     lines = []
     for label, (make_rho, restarts, seed) in ROOF_CASES.items():
@@ -236,6 +275,11 @@ def test_complement_side_cuts_match_golden_bit_for_bit():
     assert complement_lines() == want
 
 
+def test_large_marginal_values_match_golden_bit_for_bit():
+    want = (GOLDEN / "large_marginal_values.txt").read_text(encoding="utf-8")
+    assert one_blas_thread("large_marginal_lines") == want
+
+
 def test_roof_searches_match_golden_bit_for_bit():
     want = (GOLDEN / "roof_values.txt").read_text(encoding="utf-8")
     assert roof_lines() == want
@@ -253,6 +297,8 @@ def regenerate() -> None:
     (GOLDEN / "complement_values.txt").write_text(complement_lines(),
                                                   encoding="utf-8")
     (GOLDEN / "roof_values.txt").write_text(roof_lines(), encoding="utf-8")
+    (GOLDEN / "large_marginal_values.txt").write_text(
+        one_blas_thread("large_marginal_lines"), encoding="utf-8")
 
 
 if __name__ == "__main__":
