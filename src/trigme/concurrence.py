@@ -59,21 +59,23 @@ def _subset_purity(amps: np.ndarray, dims: tuple[int, ...], side: _Layout):
 
 
 # cuts: canonical cuts by size, then lexicographically; index: either
-# side as a sorted party tuple -> position in ``cuts``; ends[s]: the
-# number of cuts with |S| <= s.
-_CutPlan = namedtuple("_CutPlan", "cuts index ends")
+# side as a sorted party tuple -> position in ``cuts``.
+_CutPlan = namedtuple("_CutPlan", "cuts index")
 
 
-@lru_cache(maxsize=32)  # plans kept, one per number of parties
-def _cut_plan(nparties: int) -> _CutPlan:
-    cuts = tuple(Cut(comb, nparties) for size in range(1, nparties // 2 + 1)
+@lru_cache(maxsize=32)  # plans kept, one per (number of parties, size)
+def _cut_plan(nparties: int, max_size: int | None = None) -> _CutPlan:
+    """The canonical cuts with |S| <= ``max_size`` (all of them by
+    default): a prefix of every larger plan, so positions agree."""
+    if max_size is not None and max_size >= nparties // 2:
+        return _cut_plan(nparties)  # one full plan, however it is asked
+    top = nparties // 2 if max_size is None else max_size
+    cuts = tuple(Cut(comb, nparties) for size in range(1, top + 1)
                  for comb in combinations(range(1, nparties + 1), size)
                  if 2 * size < nparties or comb[0] == 1)
     index = {side: k for k, cut in enumerate(cuts)
              for side in (cut.parties, cut.complement)}
-    ends = tuple(sum(len(cut.parties) <= s for cut in cuts)
-                 for s in range(nparties // 2 + 1))
-    return _CutPlan(cuts, index, ends)
+    return _CutPlan(cuts, index)
 
 
 # A pure-wide unit reads 511 + 1,023 + 2,047 = 3,581 (dims, cut) pairs,
@@ -141,8 +143,8 @@ def all_cut_concurrences(psi: PureState,
     if not 1 <= max_subset_size <= n // 2:
         raise ValidationError(
             f"max_subset_size {max_subset_size} out of range 1..{n // 2}")
-    plan = _cut_plan(n)
-    end = plan.ends[max_subset_size]
+    plan = _cut_plan(n, max_subset_size)
+    end = len(plan.cuts)
     kept = psi._cut_values
     start = len(kept)
     if start < end:
@@ -267,7 +269,7 @@ def check_polygamy(psi: PureState) -> PolygamyReport:
     if n < 3:
         raise ValidationError("polygamy checks need at least 3 parties")
     all_cut_concurrences(psi, min(2, n // 2))
-    kept, index = psi._cut_values, _cut_plan(n).index
+    kept, index = psi._cut_values, _cut_plan(n, 2).index
     conc = dict(enumerate(kept[:n], 1))
     conc_sq = {i: c * c for i, c in conc.items()}
 

@@ -361,9 +361,33 @@ class _Layout:
         return self.size
 
 
+# BLAS at 1 thread: a 96x96 Gram split once took 5% longer, 128x128 17% less
+_GRAM_SPLIT = 128
+# OpenBLAS 0.3.31 SkylakeX zgemm kept every bit at splits on multiples of
+# 4 rows and moved bits at odd and 2 mod 4 rows; 16 covers wider tiles
+_GRAM_TILE = 16
+
+
+def _gram(m: np.ndarray, mc: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``m @ mc`` into ``out`` (``mc`` is m's conjugate transpose): from
+    ``_GRAM_SPLIT`` rows on whole tiles, the diagonal and upper blocks
+    are products and the lower block is the upper's conjugate
+    transpose, which is what the single product writes, bit for bit."""
+    dk = m.shape[-2]
+    if dk < _GRAM_SPLIT or dk % _GRAM_TILE:
+        return np.matmul(m, mc, out=out)
+    h = dk // (2 * _GRAM_TILE) * _GRAM_TILE
+    _gram(m[..., :h, :], mc[..., :h], out[..., :h, :h])
+    _gram(m[..., h:, :], mc[..., h:], out[..., h:, h:])
+    np.matmul(m[..., :h, :], mc[..., h:], out=out[..., :h, h:])
+    np.conjugate(out[..., :h, h:].swapaxes(-1, -2), out=out[..., h:, :h])
+    return out
+
+
 def _pure_marginal(amps: np.ndarray, dims: tuple[int, ...],
                    keep0: _Layout) -> np.ndarray:
-    """Reduced density matrix of a pure state over the side ``keep0``.
+    """Reduced density matrix of a pure state over the side ``keep0``,
+    the Gram product ``_gram`` of its (dk, dr) amplitude matrix.
 
     ``amps`` may carry leading batch axes, (..., D) -> (..., dk, dk);
     each matrix equals the one of its state alone, bit for bit.
@@ -372,7 +396,8 @@ def _pure_marginal(amps: np.ndarray, dims: tuple[int, ...],
     axes = keep0.axes if not lead else (
         *range(len(lead)), *(len(lead) + i for i in keep0.axes))
     m = amps.reshape(lead + dims).transpose(axes).reshape(lead + keep0.shape)
-    return m @ m.conj().swapaxes(-1, -2)
+    return _gram(m, m.conj().swapaxes(-1, -2),
+                 np.empty(lead + keep0.shape[:1] * 2, dtype=m.dtype))
 
 
 def _mixed_marginal(mat: np.ndarray, dims: tuple[int, ...],

@@ -109,6 +109,21 @@ def test_one_cut_plans_no_more_than_its_own_cut():
                                                   [16]))
 
 
+def test_a_pair_table_plans_only_singletons_and_pairs(monkeypatch):
+    psi = haar_random_pure([2] * 16, 30)
+    built, check = [], Cut.__post_init__
+
+    def counted(cut):
+        built.append(cut)
+        check(cut)
+
+    monkeypatch.setattr(Cut, "__post_init__", counted)
+    _cut_plan.cache_clear()
+    report = check_polygamy(psi)
+    assert len(built) <= 16 + 120  # the whole plan holds 32,767 cuts
+    assert len(report.triangle_slacks) == 120 and report.all_hold
+
+
 def test_table_agrees_with_concurrence_pure():
     psi = haar_random_pure([2, 2, 2, 2], 11)
     table = all_cut_concurrences(psi, 2)

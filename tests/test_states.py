@@ -9,6 +9,7 @@ from trigme import (Cut, DensityMatrix, LocalChannel, PureState,
                     basis_state, f3, ghz_state, haar_random_pure,
                     hermitian_eig, linear_entropy, partial_trace, purity,
                     random_local_channel, tensor_product, w_state)
+from trigme.states import _Layout, _pure_marginal
 from oracles import brute_marginal, brute_purity
 
 BELL = PureState((2, 2), np.array([1, 0, 0, 1]) / math.sqrt(2))
@@ -423,3 +424,31 @@ def test_invalid_state_tolerance_is_refused(make, bad):
 def test_zero_state_tolerance_is_accepted():
     assert PureState((2,), np.array([1.0, 0.0]), tol=0.0).tol == 0.0
     assert DensityMatrix((2,), np.diag([1.0, 0.0]), tol=0.0).tol == 0.0
+
+
+# ------------------------------------------------- blocked Gram product
+
+# (dims, a side, its rows dk): 144 splits once (64 + 80), 256 twice,
+# 576 three times; 64 is under the split size, 125 and 216 are not
+# whole 16-row tiles.  The stack gives each of 3 states a 144-row side.
+GRAM_CASES = [((12,) * 4, [0, 1], 144), ((16,) * 4, [1, 3], 256),
+              ((24,) * 4, [0, 2], 576), ((4,) * 6, [0, 1, 2], 64),
+              ((5,) * 6, [0, 2, 4], 125), ((6,) * 6, [1, 2, 3], 216)]
+
+
+@pytest.mark.parametrize("dims, side, dk", GRAM_CASES)
+@pytest.mark.parametrize("batch", [(), (3,)])
+def test_blocked_gram_equals_the_single_product_bit_for_bit(dims, side, dk,
+                                                            batch):
+    seeds = range(4600, 4600 + (batch[0] if batch else 1))
+    amps = np.stack([haar_random_pure(dims, s).amplitudes for s in seeds])
+    amps = amps.reshape(batch + amps.shape[1:])
+    layout = _Layout.of(dims, side)
+    lead = len(batch)
+    m = amps.reshape(batch + dims).transpose(
+        (*range(lead), *(lead + i for i in layout.axes)))
+    m = m.reshape(batch + (dk, -1))
+    want = m @ m.conj().swapaxes(-1, -2)
+    got = _pure_marginal(amps, dims, layout)
+    assert got.shape == batch + (dk, dk)
+    assert got.tobytes() == want.tobytes()
