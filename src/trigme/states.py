@@ -368,14 +368,17 @@ _GRAM_SPLIT = 128
 _GRAM_TILE = 16
 
 
-def _gram(m: np.ndarray, mc: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``m @ mc`` into ``out`` (``mc`` is m's conjugate transpose): from
-    ``_GRAM_SPLIT`` rows on whole tiles, the diagonal and upper blocks
-    are products and the lower block is the upper's conjugate
-    transpose, which is what the single product writes, bit for bit."""
+def _gram(m: np.ndarray, mc: np.ndarray, out=None) -> np.ndarray:
+    """``m @ mc`` (``mc`` is m's conjugate transpose), into ``out`` if
+    given: from ``_GRAM_SPLIT`` rows on whole tiles, the diagonal and
+    upper blocks are products and the lower block is the upper's
+    conjugate transpose, which is what the single product writes, bit
+    for bit."""
     dk = m.shape[-2]
     if dk < _GRAM_SPLIT or dk % _GRAM_TILE:
-        return np.matmul(m, mc, out=out)
+        return m @ mc if out is None else np.matmul(m, mc, out=out)
+    if out is None:
+        out = np.empty(m.shape[:-1] + (dk,), dtype=m.dtype)
     h = dk // (2 * _GRAM_TILE) * _GRAM_TILE
     _gram(m[..., :h, :], mc[..., :h], out[..., :h, :h])
     _gram(m[..., h:, :], mc[..., h:], out[..., h:, h:])
@@ -396,8 +399,7 @@ def _pure_marginal(amps: np.ndarray, dims: tuple[int, ...],
     axes = keep0.axes if not lead else (
         *range(len(lead)), *(len(lead) + i for i in keep0.axes))
     m = amps.reshape(lead + dims).transpose(axes).reshape(lead + keep0.shape)
-    return _gram(m, m.conj().swapaxes(-1, -2),
-                 np.empty(lead + keep0.shape[:1] * 2, dtype=m.dtype))
+    return _gram(m, m.conj().swapaxes(-1, -2))
 
 
 def _mixed_marginal(mat: np.ndarray, dims: tuple[int, ...],
