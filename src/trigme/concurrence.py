@@ -13,13 +13,14 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 
 import numpy as np
 
 from .errors import ValidationError
-from .states import Cut, DensityMatrix, PureState, _Layout, _pure_marginal
+from .states import (Cut, DensityMatrix, PureState, _Layout, _as_int,
+                     _pure_marginal)
 
 SLACK_TOL = 1e-9
 
@@ -108,11 +109,17 @@ def concurrence_pure(psi: PureState, cut) -> float:
 
 @dataclass(frozen=True)
 class CutConcurrenceTable:
-    """Concurrences for every canonical cut up to a subset size."""
+    """Cut concurrences up to a subset size, in ``_cut_plan`` order."""
 
     dims: tuple[int, ...]
     max_subset_size: int
-    entries: dict[Cut, float]
+    values: tuple[float, ...]
+
+    @cached_property
+    def entries(self) -> dict[Cut, float]:
+        """The values keyed by canonical cut, built on first read."""
+        plan = _cut_plan(len(self.dims), self.max_subset_size)
+        return dict(zip(plan.cuts, self.values))
 
     def value(self, subset) -> float:
         """Look up a cut given either side of the bipartition."""
@@ -121,15 +128,15 @@ class CutConcurrenceTable:
         if cut.nparties != n:
             raise ValidationError(
                 f"cut is over {cut.nparties} parties, table has {n}")
-        try:
-            return self.entries[cut]
-        except KeyError:
+        k = _cut_plan(n, self.max_subset_size).index.get(cut.parties)
+        if k is None:
             raise ValidationError(
                 f"cut {cut.parties} exceeds enumerated size "
-                f"{self.max_subset_size}") from None
+                f"{self.max_subset_size}")
+        return self.values[k]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.values)
 
 
 def all_cut_concurrences(psi: PureState,
@@ -139,11 +146,10 @@ def all_cut_concurrences(psi: PureState,
     The state keeps the values in plan order, which is by subset size:
     a later table reads them and computes only the cuts it lacks.
     """
-    n = psi.nparties
-    if not 1 <= max_subset_size <= n // 2:
-        raise ValidationError(
-            f"max_subset_size {max_subset_size} out of range 1..{n // 2}")
-    plan = _cut_plan(n, max_subset_size)
+    n, s = psi.nparties, _as_int(max_subset_size, "max_subset_size")
+    if not 1 <= s <= n // 2:
+        raise ValidationError(f"max_subset_size {s} out of range 1..{n // 2}")
+    plan = _cut_plan(n, s)
     end = len(plan.cuts)
     kept = psi._cut_values
     start = len(kept)
@@ -152,8 +158,7 @@ def all_cut_concurrences(psi: PureState,
         # positions meanwhile wrote the same values
         kept[start:end] = [concurrence_pure(psi, cut)
                            for cut in plan.cuts[start:end]]
-    return CutConcurrenceTable(psi.dims, max_subset_size,
-                               dict(zip(plan.cuts, kept[:end])))
+    return CutConcurrenceTable(psi.dims, s, tuple(kept[:end]))
 
 
 @lru_cache(maxsize=32)  # one per dims
@@ -268,8 +273,8 @@ def check_polygamy(psi: PureState) -> PolygamyReport:
     n = psi.nparties
     if n < 3:
         raise ValidationError("polygamy checks need at least 3 parties")
-    all_cut_concurrences(psi, min(2, n // 2))
-    kept, index = psi._cut_values, _cut_plan(n, 2).index
+    kept = all_cut_concurrences(psi, min(2, n // 2)).values
+    index = _cut_plan(n, 2).index
     conc = dict(enumerate(kept[:n], 1))
     conc_sq = {i: c * c for i, c in conc.items()}
 

@@ -32,8 +32,8 @@ import numpy as np
 
 from .concurrence import _cut_layout, _cut_plan
 from .errors import InternalInvariantError, ValidationError
-from .states import DensityMatrix, PureState, _check_rows, _pure_marginal, \
-    hermitian_eig
+from .states import DensityMatrix, PureState, _check_rows, _is_int, \
+    _pure_marginal, hermitian_eig
 from .triangles import EdgeConvention, GmeReport, ZERO_AREA_TOL, \
     _gme_values, f_total, gme_value
 
@@ -206,10 +206,6 @@ def decomposition_mixture_error(rho: DensityMatrix | PureState,
     for p, psi in decomp.members:
         mix = mix + p * np.outer(psi.amplitudes, psi.amplitudes.conj())
     return float(np.max(np.abs(mix - target)))
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .states import DensityMatrix, PureState
+from .states import DensityMatrix, PureState, _is_int
 
 DOCUMENT_KINDS = ("pure", "mixed")
 
@@ -78,8 +78,7 @@ def parse_state_document(doc, tol: float = 1e-9,
 
     dims = doc["dims"]
     if (not isinstance(dims, list) or not dims
-            or not all(isinstance(d, int) and not isinstance(d, bool)
-                       for d in dims)):
+            or not all(map(_is_int, dims))):
         raise ParseError(f"{where}.dims: expected a nonempty list of "
                          f"integers, got {dims!r}")
     if any(d < 2 for d in dims):

@@ -47,9 +47,22 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    """An int or a numpy integer, not a bool: the one test of party
+    labels, dims, levels and sizes."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _as_int(value, what: str) -> int:
+    """``value`` as an int, refused unless it passes ``_is_int``."""
+    if not _is_int(value):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _party_tuple(parties: Iterable[int], nparties: int) -> tuple[int, ...]:
     """Validate and sort a collection of 1-based party labels."""
-    raw = tuple(int(p) for p in parties)
+    raw = tuple(_as_int(p, "party label") for p in parties)
     out = tuple(sorted(set(raw)))
     if len(out) != len(raw):
         raise ValidationError(f"duplicate party labels in {raw}")
@@ -124,7 +137,7 @@ def _check_tol(tol: float) -> None:
 
 
 def _check_dims(dims: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(int(d) for d in dims)
+    out = tuple(_as_int(d, "local dimension") for d in dims)
     if not out:
         raise ValidationError("dims must be nonempty")
     for d in out:
@@ -269,8 +282,9 @@ class LocalChannel:
     kraus: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if int(self.party) < 1:
-            raise ValidationError(f"party label {self.party} < 1")
+        party = _as_int(self.party, "party label")
+        if party < 1:
+            raise ValidationError(f"party label {party} < 1")
         ops = tuple(np.array(k, dtype=complex) for k in self.kraus)
         if not ops:
             raise ValidationError("channel needs at least one Kraus operator")
@@ -287,7 +301,7 @@ class LocalChannel:
                 f"Kraus completeness violated: max |sum K^H K - I| = {err!r}")
         for k in ops:
             k.setflags(write=False)
-        object.__setattr__(self, "party", int(self.party))
+        object.__setattr__(self, "party", party)
         object.__setattr__(self, "kraus", ops)
 
     @property
@@ -538,9 +552,10 @@ def basis_state(dims: Sequence[int], levels: Sequence[int]) -> PureState:
         raise ValidationError("levels and dims must have equal length")
     idx = 0
     for d, c in zip(dims, levels):
-        if not 0 <= int(c) < d:
+        c = _as_int(c, "level")
+        if not 0 <= c < d:
             raise ValidationError(f"level {c} out of range for dimension {d}")
-        idx = idx * d + int(c)
+        idx = idx * d + c
     amps = np.zeros(math.prod(dims), dtype=complex)
     amps[idx] = 1.0
     return PureState(dims, amps)
@@ -548,6 +563,7 @@ def basis_state(dims: Sequence[int], levels: Sequence[int]) -> PureState:
 
 def ghz_state(nparties: int, dim: int = 2) -> PureState:
     """(|0...0> + |1...1> + ... + |d-1 ... d-1>) / sqrt(d)."""
+    nparties, dim = _as_int(nparties, "nparties"), _as_int(dim, "dim")
     if nparties < 2:
         raise ValidationError("GHZ state needs at least 2 parties")
     if dim < 2:
@@ -562,6 +578,7 @@ def ghz_state(nparties: int, dim: int = 2) -> PureState:
 
 def w_state(nparties: int) -> PureState:
     """Equal superposition of all single-excitation qubit basis states."""
+    nparties = _as_int(nparties, "nparties")
     if nparties < 2:
         raise ValidationError("W state needs at least 2 parties")
     amps = np.zeros(2 ** nparties, dtype=complex)

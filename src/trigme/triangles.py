@@ -37,9 +37,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import InternalInvariantError, ValidationError
-from .states import Cut, PureState
-from .concurrence import (CutConcurrenceTable, _cut_concurrences, _cut_plan,
-                          all_cut_concurrences)
+from .states import Cut, PureState, _as_int
+from .concurrence import _cut_concurrences, _cut_plan, all_cut_concurrences
 
 ZERO_AREA_TOL = 1e-8
 ZERO_EDGE_TOL = 1e-6
@@ -314,11 +313,6 @@ def _measure(values: np.ndarray, n: int, conv: EdgeConvention,
     return [(v, _geometric_mean(list(v.values()), 0.0)) for v in rows]
 
 
-def _table_values(table: CutConcurrenceTable) -> np.ndarray:
-    """A cut table as one row (1, K) in plan order."""
-    return np.fromiter(table.entries.values(), float, len(table))[None]
-
-
 def _gme_values(amps: np.ndarray, dims: tuple[int, ...],
                 conv: EdgeConvention) -> list[float]:
     """``gme_value`` of each row of a stack of validated states (m, D),
@@ -346,15 +340,15 @@ def f_level(psi: PureState, level: int,
     Requires ``N >= 4`` and ``1 <= level <= N - 3`` so that the third
     vertex is nonempty and distinct from the singleton vertex.
     """
-    n = psi.nparties
+    n, level = psi.nparties, _as_int(level, "level")
     if n < 4:
         raise ValidationError(f"f_level needs at least 4 parties, got {n}")
     if not 1 <= level <= n - 3:
         raise ValidationError(
             f"level {level} out of range 1..{n - 3} for {n} parties")
-    values = _table_values(all_cut_concurrences(psi, min(level + 1, n // 2)))
-    return _geometric_mean(_level_areas(values, n, level, conv)[1][0],
-                           ZERO_AREA_TOL)
+    table = all_cut_concurrences(psi, min(level + 1, n // 2))
+    areas = _level_areas(np.array([table.values]), n, level, conv)[1][0]
+    return _geometric_mean(areas, ZERO_AREA_TOL)
 
 
 def f_total(psi: PureState,
@@ -369,8 +363,8 @@ def f_total(psi: PureState,
         raise ValidationError(f"f_total needs at least 3 parties, got {n}")
     levels = []
     table = all_cut_concurrences(psi, n // 2)
-    [(level_values, total)] = _measure(_table_values(table), n, conv, levels)
-    return GmeReport(conv, psi.dims, table.entries, level_values, total,
+    [(values, total)] = _measure(np.array([table.values]), n, conv, levels)
+    return GmeReport(conv, psi.dims, table.entries, values, total,
                      tuple(levels))
 
 
@@ -381,9 +375,8 @@ def gme_value(psi: PureState,
     Same number as ``f_total(psi, conv).value``, stopping at the first
     zero level; used in optimization and property-campaign hot paths.
     """
-    if psi.nparties < 3:
-        raise ValidationError(
-            f"gme_value needs at least 3 parties, got {psi.nparties}")
     n = psi.nparties
-    return _measure(_table_values(all_cut_concurrences(psi, n // 2)), n,
-                    conv)[0][1]
+    if n < 3:
+        raise ValidationError(f"gme_value needs at least 3 parties, got {n}")
+    table = all_cut_concurrences(psi, n // 2)
+    return _measure(np.array([table.values]), n, conv)[0][1]

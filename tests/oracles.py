@@ -128,11 +128,10 @@ def eager_inventory(psi, conv):
     from trigme.concurrence import all_cut_concurrences
     from trigme.triangles import (UNIT_AREA_TOL, ZERO_AREA_TOL,
                                   ZERO_EDGE_TOL, Triangle, TriangleEdges,
-                                  ZeroAreaTriangle, _level_areas, _level_plan,
-                                  _table_values)
+                                  ZeroAreaTriangle, _level_areas, _level_plan)
 
     n = psi.nparties
-    values = _table_values(all_cut_concurrences(psi, n // 2))
+    values = np.array([all_cut_concurrences(psi, n // 2).values])
     triangles, zero = [], {}
     for level in range(1, max(1, (n - 2) // 2) + 1):
         raw, [areas] = _level_areas(values, n, level, conv)
@@ -147,6 +146,26 @@ def eager_inventory(psi, conv):
                           if x <= ZERO_EDGE_TOL)))
     above = tuple(t for t in triangles if t.area > 1.0 + UNIT_AREA_TOL)
     return tuple(triangles), tuple(zero.values()), above
+
+
+def blas_free_lines() -> str:
+    """``repr`` of every cut concurrence and ``gme_value`` of seeded 16^4
+    and 24^4 states, one a line.  The states are normalised with
+    ``math.fsum``, so no BLAS call touches their amplitudes
+    (``haar_random_pure`` divides by ``np.linalg.norm``, a BLAS sum)."""
+    from trigme import EdgeConvention, PureState, all_cut_concurrences, \
+        gme_value
+
+    lines = []
+    for dims, seed in (([16] * 4, 1), ([24] * 4, 2)):
+        rng, d = np.random.default_rng(seed), math.prod(dims)
+        z = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        norm = math.sqrt(math.fsum(np.square(z.view(float)).tolist()))
+        psi = PureState(dims, z / norm)
+        table = all_cut_concurrences(psi, 2)  # 7 cuts
+        lines += [repr(v) for v in table.entries.values()]
+        lines += [repr(gme_value(psi, conv)) for conv in EdgeConvention]
+    return "\n".join(lines) + "\n"
 
 
 def analysis_dict(report) -> dict:

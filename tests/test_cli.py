@@ -349,6 +349,13 @@ def test_analyze_refuses_a_negative_gme_seed(capsys, monkeypatch,
     assert "seed must be >= 0, got -5" in err
 
 
+def test_a_non_integer_gme_seed_exits_one(capsys, monkeypatch):
+    monkeypatch.setenv("GME_SEED", "abc")
+    code, out, err = run(capsys, "random", "--dims", "2,2")
+    assert (code, out) == (1, "")
+    assert "GME_SEED must be an integer, got 'abc'" in err
+
+
 def test_random_rejects_bad_dims(capsys):
     code, _, err = run(capsys, "random", "--dims", "2,1")
     assert code == 1
@@ -389,6 +396,16 @@ def test_check_inequalities_deterministic_given_seed(capsys):
     _, b, _ = run(capsys, "check-inequalities", "--dims", "2,2,2",
                   "--trials", "10", "--seed", "9")
     assert a == b
+
+
+def test_check_inequalities_exits_two_on_a_violation(capsys, monkeypatch):
+    broken = trigme.PolygamyReport({}, {1: -1e-3}, {}, {})
+    monkeypatch.setattr(trigme.cli, "check_polygamy", lambda psi: broken)
+    code, out, _ = run(capsys, "check-inequalities", "--dims", "2,2,2",
+                       "--trials", "3", "--seed", "4")
+    assert code == 2
+    assert out.endswith("min slack: -1.000000e-03\n"
+                        "VIOLATIONS: 3 of 3 states\n")
 
 
 # ------------------------------------------------------- errors and usage
@@ -704,6 +721,10 @@ def test_one_rank_answer_per_document(capsys, tmp_path, tol, factor):
      "--tol must be a positive finite number, got inf"),
     (["convex-roof", "appendix_e.json", "--tol", "nan"],
      "--tol must be a positive finite number, got nan"),
+    (["random", "--dims", "2,x"],
+     "--dims must be comma-separated integers, got '2,x'"),
+    (["check-inequalities", "--dims", "2,2"],
+     "--dims needs at least 3 parties"),
 ])
 def test_out_of_range_arguments_exit_one_naming_the_value(
         capsys, fixtures_dir, argv, message):

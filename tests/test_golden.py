@@ -213,17 +213,18 @@ def large_marginal_lines() -> str:
     return "\n".join(lines) + "\n"
 
 
-def one_blas_thread(name: str) -> str:
-    """What this module's function ``name`` returns, computed in a
-    fresh process whose BLAS runs one thread."""
+def with_blas_threads(func: str, threads: int = 1) -> str:
+    """What ``func``, a ``module.function`` of this directory, returns,
+    computed in a fresh process whose BLAS runs ``threads`` threads."""
     here = Path(__file__).resolve().parent
     path = os.pathsep.join(filter(None, [str(here.parent / "src"), str(here),
                                          os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
-           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    env = {**os.environ, "PYTHONPATH": path,
+           **dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                            "MKL_NUM_THREADS"], str(threads))}
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, test_golden; "
-         f"sys.stdout.write(test_golden.{name}())"],
+        [sys.executable, "-c", f"import sys, {func.split('.')[0]}; "
+         f"sys.stdout.write({func}())"],
         capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -277,7 +278,13 @@ def test_complement_side_cuts_match_golden_bit_for_bit():
 
 def test_large_marginal_values_match_golden_bit_for_bit():
     want = (GOLDEN / "large_marginal_values.txt").read_text(encoding="utf-8")
-    assert one_blas_thread("large_marginal_lines") == want
+    assert with_blas_threads("test_golden.large_marginal_lines") == want
+
+
+def test_cut_values_do_not_depend_on_the_blas_thread_count():
+    one = with_blas_threads("oracles.blas_free_lines", 1)
+    assert len(one.splitlines()) == 2 * (7 + 2)  # 7 cuts, 2 conventions
+    assert with_blas_threads("oracles.blas_free_lines", 2) == one
 
 
 def test_roof_searches_match_golden_bit_for_bit():
@@ -298,7 +305,8 @@ def regenerate() -> None:
                                                   encoding="utf-8")
     (GOLDEN / "roof_values.txt").write_text(roof_lines(), encoding="utf-8")
     (GOLDEN / "large_marginal_values.txt").write_text(
-        one_blas_thread("large_marginal_lines"), encoding="utf-8")
+        with_blas_threads("test_golden.large_marginal_lines"),
+        encoding="utf-8")
 
 
 if __name__ == "__main__":

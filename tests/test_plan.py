@@ -92,6 +92,23 @@ def test_cut_counts_follow_closed_form():
         assert len(table) == canonical_cut_count(len(dims))
 
 
+@pytest.mark.parametrize(
+    "psi", [haar_random_pure([2] * n, 60 + n) for n in range(3, 9)]
+    + [haar_random_pure((3, 2, 4, 2), 69)],
+    ids=[f"haar-2^{n}" for n in range(3, 9)] + ["haar-3x2x4x2"])
+def test_a_table_keys_its_plan_order_values_by_cut(psi):
+    n = psi.nparties
+    for size in range(1, n // 2 + 1):
+        table = all_cut_concurrences(psi, size)
+        assert table.entries == dict(zip(_cut_plan(n, size).cuts,
+                                         table.values))
+        assert table.entries is table.entries  # built once, then kept
+        for cut, value in table.entries.items():
+            assert table.value(cut) == value
+            assert table.value(cut.parties) == value
+            assert table.value(cut.complement) == value
+
+
 def test_table_reaches_each_cut_through_concurrence_pure(monkeypatch):
     calls = []
     original = trigme.concurrence.concurrence_pure
@@ -131,8 +148,7 @@ def test_zero_levels_stop_gme_value_but_not_the_inventory():
 
 def crafted_table(values):
     """A three-party cut table with the given concurrences of 1, 2, 3."""
-    cuts = _cut_plan(3).cuts
-    return CutConcurrenceTable((2, 2, 2), 1, dict(zip(cuts, values)))
+    return CutConcurrenceTable((2, 2, 2), 1, tuple(values))
 
 
 @pytest.mark.parametrize("values", [

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from trigme import (Cut, DensityMatrix, LocalChannel, PureState,
-                    ValidationError, apply_local_channel_branches,
-                    basis_state, f3, ghz_state, haar_random_pure,
-                    hermitian_eig, linear_entropy, partial_trace, purity,
-                    random_local_channel, tensor_product, w_state)
+                    ValidationError, all_cut_concurrences,
+                    apply_local_channel_branches, basis_state,
+                    concurrence_pure, f3, f_level, ghz_state,
+                    haar_random_pure, hermitian_eig, linear_entropy,
+                    partial_trace, purity, random_local_channel,
+                    tensor_product, w_state)
 from trigme.states import _Layout, _pure_marginal
 from oracles import brute_marginal, brute_purity
 
@@ -150,6 +152,15 @@ def test_partial_trace_improper_keep_errors():
         partial_trace(ghz_state(3), ())
     with pytest.raises(ValidationError, match="improper bipartition"):
         partial_trace(ghz_state(3), (1, 2, 3))
+
+
+def test_partial_trace_keeps_the_stored_side_of_a_cut():
+    psi = haar_random_pure([2, 3, 2], 7)
+    np.testing.assert_array_equal(partial_trace(psi, Cut.of([2], 3)).entries,
+                                  partial_trace(psi, [2]).entries)
+    with pytest.raises(ValidationError,
+                       match=re.escape("cut is over 4 parties, state has 3")):
+        partial_trace(psi, Cut.of([1], 4))
 
 
 def test_partial_trace_preserves_trace_and_psd():
@@ -400,6 +411,48 @@ def test_local_channel_rejects_non_finite_kraus_operators():
 def test_ghz_state_rejects_local_dimension_one():
     with pytest.raises(ValidationError, match="dimension 1"):
         ghz_state(3, dim=1)
+
+
+# -------------------------------------------------------------- integers
+
+PSI3, PSI4, PSI5 = (haar_random_pure([2] * n, 1) for n in (3, 4, 5))
+
+
+@pytest.mark.parametrize("call, what, value", [
+    (lambda: concurrence_pure(PSI3, [1.7]), "party label", 1.7),
+    (lambda: concurrence_pure(PSI3, ["2"]), "party label", "2"),
+    (lambda: concurrence_pure(PSI3, [True]), "party label", True),
+    (lambda: partial_trace(PSI3, [1.2]), "party label", 1.2),
+    (lambda: LocalChannel(1.7, (np.eye(2),)), "party label", 1.7),
+    (lambda: haar_random_pure([2.9, 2, 2], 1), "local dimension", 2.9),
+    (lambda: haar_random_pure(["2", "2", "2"], 1), "local dimension", "2"),
+    (lambda: DensityMatrix((2.0,), np.eye(2) / 2), "local dimension", 2.0),
+    (lambda: basis_state([2, 2], [1.9, 0]), "level", 1.9),
+    (lambda: ghz_state(3.0), "nparties", 3.0),
+    (lambda: ghz_state(3, 2.0), "dim", 2.0),
+    (lambda: w_state(3.0), "nparties", 3.0),
+    (lambda: f_level(PSI4, True), "level", True),
+    (lambda: f_level(PSI5, 1.5), "level", 1.5),
+    (lambda: all_cut_concurrences(PSI4, True), "max_subset_size", True),
+    (lambda: all_cut_concurrences(PSI4, 1.5), "max_subset_size", 1.5),
+], ids=["cut-float", "cut-str", "cut-bool", "keep-float", "channel-party",
+        "dims-float", "dims-str", "mixed-dims-float", "basis-level",
+        "ghz-nparties", "ghz-dim", "w-nparties", "f_level-bool",
+        "f_level-float", "table-size-bool", "table-size-float"])
+def test_a_non_integer_is_refused_naming_the_argument(call, what, value):
+    with pytest.raises(ValidationError, match=re.escape(
+            f"{what} must be an integer, got {value!r}")):
+        call()
+
+
+def test_numpy_integers_are_taken_as_ints():
+    assert (concurrence_pure(PSI3, np.array([1]))
+            == concurrence_pure(PSI3, [1]))
+    psi = haar_random_pure(np.array([2, 2, 2]), 1)
+    assert psi.dims == (2, 2, 2) and {type(d) for d in psi.dims} == {int}
+    assert type(LocalChannel(np.int64(1), (np.eye(2),)).party) is int
+    assert f_level(PSI4, np.int64(1)) == f_level(PSI4, 1)
+    assert type(all_cut_concurrences(PSI4, np.int64(2)).max_subset_size) is int
 
 
 # ------------------------------------------------------------ tolerances
